@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import gabber, selftest
+from . import gabber
 from .errors import (
     BackendMismatch,
     DomainError,
@@ -264,6 +264,9 @@ def _cmd_gabber(args, out) -> int:
 
 
 def _cmd_selftest(args, out) -> int:
+    # Imported here so that the other commands do not pay to load it.
+    from . import selftest
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("TATEKIT_SEED", selftest.DEFAULT_SEED))

@@ -1,13 +1,24 @@
 """Ball-precision exact arithmetic for the two valued-field backends.
 
 ``LaurentSeries`` models Laurent series over F_p with exponents in the
-lattice (1/p^e)Z; ``HahnSum`` models finite sums over the square-root
+lattice (1/p^L)Z; ``HahnSum`` models finite sums over the square-root
 exponent group of :mod:`tatekit.exponents` with F_p coefficients.  An
 element is a finite explicit part plus an optional ball: ``cutoff = c``
 means the element is the explicit part up to an unknown tail of
 valuation >= c.  All explicit exponents sit strictly below the cutoff
 and coefficients are nonzero mod p, so representations are canonical
 and equality is structural.
+
+A Laurent series is stored on its integer lattice: the prime p, the
+smallest level L with every exponent and the cutoff in (1/p^L)Z, the
+exponents times p^L as a strictly increasing tuple of ints, a parallel
+tuple of coefficients in 1..p-1, and the cutoff times p^L (or None).
+``make`` checks the prime and the lattice once, at the boundary; ring
+operations align two operands to the finer level and then work on ints
+only, and ``frobenius``/``pth_root`` merely shift the level.  Every
+result is renormalised to its smallest level, so equal values have
+equal representations.  ``terms`` and ``cutoff`` are read-only
+Fraction views, built when read.
 
 Norms are written multiplicatively as e^(-v); ``NormValue`` carries the
 exponent v, which is a Fraction for the Laurent backend and an
@@ -17,9 +28,11 @@ the ordering of exponents, and |0| = 0 is the minimum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import compress
 from typing import Union
 
 from .errors import BackendMismatch, DomainError, PrecisionError
@@ -182,64 +195,114 @@ def _min_optional(a, b):
 
 
 def _lattice_level(exponent: Fraction, p: int) -> int:
-    den = exponent.denominator
-    level = 0
-    while den % p == 0:
-        den //= p
-        level += 1
-    if den != 1:
+    """The e with exponent's denominator equal to p^e; at level e the
+    exponent is the integer exponent.numerator."""
+    level = _denominator_level(exponent.denominator, p)
+    if level is None:
         raise DomainError(
             f"exponent {exponent} is not in the (1/{p}^e)Z lattice"
         )
     return level
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Laurent series over F_p with exponents in (1/p^e)Z plus a ball."""
+def _denominator_level(den: int, p: int) -> int | None:
+    """The e with den == p^e, or None when den is not a power of p."""
+    level = 0
+    while den % p == 0:
+        den //= p
+        level += 1
+    return level if den == 1 else None
 
-    p: int
-    terms: tuple[tuple[Fraction, int], ...]
-    cutoff: Fraction | None = None
+
+class LaurentSeries:
+    """Laurent series over F_p with exponents in (1/p^L)Z plus a ball.
+
+    The constructor takes the canonical lattice form as stored (see the
+    module docstring) and trusts it; build series with ``make`` and the
+    other class methods.
+    """
+
+    __slots__ = ("p", "level", "_exps", "_coeffs", "_cut", "_terms", "_norm")
+
+    def __init__(self, p: int, level: int, exps: tuple, coeffs: tuple, cut=None):
+        _set_p(self, p)
+        _set_level(self, level)
+        _set_exps(self, exps)
+        _set_coeffs(self, coeffs)
+        _set_cut(self, cut)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LaurentSeries is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        state = (self.p, self.level, self._exps, self._coeffs, self._cut)
+        return (LaurentSeries, state)
+
+    def __eq__(self, other):
+        if other.__class__ is not LaurentSeries:
+            return NotImplemented
+        return (
+            self.p == other.p
+            and self.level == other.level
+            and self._exps == other._exps
+            and self._coeffs == other._coeffs
+            and self._cut == other._cut
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.level, self._exps, self._coeffs, self._cut))
+
+    def __repr__(self) -> str:
+        return (
+            f"LaurentSeries(p={self.p!r}, terms={self.terms!r}, "
+            f"cutoff={self.cutoff!r})"
+        )
 
     @classmethod
     def make(cls, p: int, coeffs, cutoff=None) -> LaurentSeries:
         _require_prime(p)
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        # Accumulate under integer-pair keys: hashing Fractions is the
-        # dominant cost of series arithmetic otherwise.
-        data: dict[tuple[int, int], int] = {}
-        for exponent, coeff in items:
-            exponent = Fraction(exponent)
-            key = (exponent.numerator, exponent.denominator)
-            data[key] = data.get(key, 0) + int(coeff)
-        return cls._from_accumulated(p, data, cutoff)
-
-    @classmethod
-    def _from_accumulated(cls, p, data, cutoff) -> LaurentSeries:
+        pairs = [(Fraction(exponent), int(coeff)) for exponent, coeff in items]
+        level = 0
         if cutoff is not None:
             cutoff = Fraction(cutoff)
-            _lattice_level(cutoff, p)
-        kept = []
-        for (num, den), c in data.items():
-            c %= p
-            if not c:
+            level = _lattice_level(cutoff, p)
+        levels: dict[int, int | None] = {1: 0}
+        for e, _ in pairs:
+            den = e.denominator
+            if den not in levels:
+                levels[den] = lv = _denominator_level(den, p)
+                if lv is not None and lv > level:
+                    level = lv
+        scale = p**level
+        data: dict[int, int] = {}
+        # Exponents off the lattice are an error only for terms that
+        # survive: a coefficient 0 mod p or a term inside the ball vanishes.
+        off_lattice: dict[Fraction, int] = {}
+        for e, c in pairs:
+            den = e.denominator
+            if levels[den] is None:
+                off_lattice[e] = off_lattice.get(e, 0) + c
                 continue
-            e = Fraction(num, den)
-            if cutoff is not None and not e < cutoff:
-                continue
-            _lattice_level(e, p)
-            kept.append((e, c))
-        kept.sort()
-        return cls(p, tuple(kept), cutoff)
+            k = e.numerator * (scale // den)
+            data[k] = data.get(k, 0) + c
+        for e, c in off_lattice.items():
+            if c % p and (cutoff is None or e < cutoff):
+                _lattice_level(e, p)  # raises DomainError
+        cut = None
+        if cutoff is not None:
+            cut = cutoff.numerator * (scale // cutoff.denominator)
+        return _canonical(p, level, data, cut)
 
     @classmethod
     def zero(cls, p: int) -> LaurentSeries:
-        return cls.make(p, {})
+        return _zero(p)
 
     @classmethod
     def one(cls, p: int) -> LaurentSeries:
-        return cls.make(p, {Fraction(0): 1})
+        return _one(p)
 
     @classmethod
     def constant(cls, p: int, c: int) -> LaurentSeries:
@@ -254,25 +317,40 @@ class LaurentSeries:
         return cls.make(p, {}, cutoff=cutoff)
 
     @property
+    def terms(self) -> tuple[tuple[Fraction, int], ...]:
+        """(exponent, coefficient) pairs in increasing exponent order."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        den = self.p**self.level
+        terms = tuple(
+            (Fraction(e, den), c) for e, c in zip(self._exps, self._coeffs)
+        )
+        _set_terms(self, terms)
+        return terms
+
+    @property
+    def cutoff(self) -> Fraction | None:
+        return None if self._cut is None else self._fraction(self._cut)
+
+    def _fraction(self, k: int) -> Fraction:
+        """The exponent whose lattice integer at this level is k."""
+        return Fraction(k, self.p**self.level) if self.level else Fraction(k)
+
+    @property
     def is_zero(self) -> bool:
         """Exactly zero (no explicit part and no ball)."""
-        return not self.terms and self.cutoff is None
-
-    @cached_property
-    def level(self) -> int:
-        """Smallest e with all exponents (and the cutoff) in (1/p^e)Z."""
-        level = 0
-        for e, _ in self.terms:
-            level = max(level, _lattice_level(e, self.p))
-        if self.cutoff is not None:
-            level = max(level, _lattice_level(self.cutoff, self.p))
-        return level
+        return not self._exps and self._cut is None
 
     def coefficient(self, exponent) -> int:
-        exponent = Fraction(exponent)
-        for e, c in self.terms:
-            if e == exponent:
-                return c
+        k = Fraction(exponent) * self.p**self.level
+        if k.denominator != 1:
+            return 0
+        k = k.numerator
+        i = bisect_left(self._exps, k)
+        if i < len(self._exps) and self._exps[i] == k:
+            return self._coeffs[i]
         return 0
 
     def _check_compatible(self, other) -> LaurentSeries:
@@ -286,88 +364,147 @@ class LaurentSeries:
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
         self._check_compatible(other)
-        data = {(e.numerator, e.denominator): c for e, c in self.terms}
-        for e, c in other.terms:
-            key = (e.numerator, e.denominator)
-            data[key] = data.get(key, 0) + c
-        return LaurentSeries._from_accumulated(
-            self.p, data, _min_optional(self.cutoff, other.cutoff)
-        )
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        level, ea, cut_a, eb, cut_b = _align(self, other)
+        data = dict(zip(ea, self._coeffs))
+        get = data.get
+        for e, c in zip(eb, other._coeffs):
+            data[e] = get(e, 0) + c
+        if cut_a is None or (cut_b is not None and cut_b < cut_a):
+            cut_a = cut_b
+        return _canonical(self.p, level, data, cut_a)
 
     def __neg__(self) -> LaurentSeries:
+        p = self.p
         return LaurentSeries(
-            self.p, tuple((e, self.p - c) for e, c in self.terms), self.cutoff
+            p, self.level, self._exps, tuple([p - c for c in self._coeffs]), self._cut
         )
 
     def __sub__(self, other: LaurentSeries) -> LaurentSeries:
         return self + (-other)
 
-    def _vstar(self):
-        if self.terms:
-            return _min_optional(self.terms[0][0], self.cutoff)
-        return self.cutoff
+    def _vstar(self) -> int | None:
+        """Lattice integer of the least explicit exponent, else of the
+        cutoff (explicit exponents sit below the cutoff); None for 0."""
+        return self._exps[0] if self._exps else self._cut
 
     def __mul__(self, other: LaurentSeries) -> LaurentSeries:
         self._check_compatible(other)
         if self.is_zero or other.is_zero:
-            return LaurentSeries.zero(self.p)
-        cutoff = None
-        if other.cutoff is not None and self._vstar() is not None:
-            cutoff = _min_optional(cutoff, self._vstar() + other.cutoff)
-        if self.cutoff is not None and other._vstar() is not None:
-            cutoff = _min_optional(cutoff, other._vstar() + self.cutoff)
-        data: dict[tuple[int, int], int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                key = (e.numerator, e.denominator)
-                data[key] = data.get(key, 0) + c1 * c2
-        return LaurentSeries._from_accumulated(self.p, data, cutoff)
+            return _zero(self.p)
+        level, ea, cut_a, eb, cut_b = _align(self, other)
+        # min(v*(x) + cut(y), v*(y) + cut(x)) over the sides with a ball.
+        cut = None
+        if cut_b is not None:
+            cut = (ea[0] if ea else cut_a) + cut_b
+        if cut_a is not None:
+            other_cut = (eb[0] if eb else cut_b) + cut_a
+            if cut is None or other_cut < cut:
+                cut = other_cut
+        data: dict[int, int] = {}
+        get = data.get
+        right = list(zip(eb, other._coeffs))
+        for e1, c1 in zip(ea, self._coeffs):
+            for e2, c2 in right:
+                k = e1 + e2
+                data[k] = get(k, 0) + c1 * c2
+        return _canonical(self.p, level, data, cut)
 
     def scalar_mul(self, k: int) -> LaurentSeries:
-        k %= self.p
+        p = self.p
+        k %= p
         if k == 0:
-            return LaurentSeries.zero(self.p)
-        return LaurentSeries(
-            self.p, tuple((e, (c * k) % self.p) for e, c in self.terms), self.cutoff
-        )
+            return _zero(p)
+        if k == 1:
+            return self
+        coeffs = tuple([c * k % p for c in self._coeffs])
+        return LaurentSeries(p, self.level, self._exps, coeffs, self._cut)
 
     def frobenius(self) -> LaurentSeries:
-        """x^p, computed exactly: exponents scale by p, F_p coefficients fix."""
+        """x^p, computed exactly: exponents scale by p, F_p coefficients fix.
+
+        Scaling by p is one level coarser on the same integers; at level
+        0 the integers themselves scale.
+        """
+        p, cut = self.p, self._cut
+        if self.level:
+            return LaurentSeries(p, self.level - 1, self._exps, self._coeffs, cut)
         return LaurentSeries(
-            self.p,
-            tuple(sorted((e * self.p, c) for e, c in self.terms)),
-            None if self.cutoff is None else self.cutoff * self.p,
+            p,
+            0,
+            tuple([e * p for e in self._exps]),
+            self._coeffs,
+            None if cut is None else cut * p,
         )
 
     def pth_root(self) -> LaurentSeries:
-        """The unique y with y^p = x; refines the exponent lattice."""
+        """The unique y with y^p = x; refines the exponent lattice.
+
+        Dividing by p is one level finer on the same integers, unless the
+        level is 0 and every integer is p-divisible (then they divide).
+        """
+        p, cut = self.p, self._cut
+        if (
+            self.level
+            or (cut is not None and cut % p)
+            or any(e % p for e in self._exps)
+        ):
+            return LaurentSeries(p, self.level + 1, self._exps, self._coeffs, cut)
         return LaurentSeries(
-            self.p,
-            tuple(sorted((e / self.p, c) for e, c in self.terms)),
-            None if self.cutoff is None else self.cutoff / self.p,
+            p,
+            0,
+            tuple([e // p for e in self._exps]),
+            self._coeffs,
+            None if cut is None else cut // p,
         )
 
+    def lattice_part(self, level: int) -> LaurentSeries:
+        """The terms whose exponents lie in (1/p^level)Z, with the same ball."""
+        shift = self.level - level
+        if shift <= 0:
+            return self
+        step = self.p**shift
+        keep = [e % step == 0 for e in self._exps]
+        return _reduced(
+            self.p,
+            self.level,
+            tuple(compress(self._exps, keep)),
+            tuple(compress(self._coeffs, keep)),
+            self._cut,
+        )
+
+    def explicit_part(self) -> LaurentSeries:
+        """The explicit terms without the ball."""
+        if self._cut is None:
+            return self
+        return _reduced(self.p, self.level, self._exps, self._coeffs, None)
+
     def valuation(self) -> Valuation:
-        if self.terms:
-            return Valuation.exact(self.terms[0][0])
-        if self.cutoff is not None:
-            return Valuation.at_least(self.cutoff)
+        if self._exps:
+            return Valuation.exact(self._fraction(self._exps[0]))
+        if self._cut is not None:
+            return Valuation.at_least(self._fraction(self._cut))
         return Valuation.zero()
 
     def norm(self) -> NormValue:
-        return self.valuation().to_norm()
+        # Cached: Tate-level code asks the same coefficient many times.
+        try:
+            return self._norm
+        except AttributeError:
+            norm = self.valuation().to_norm()
+            _set_norm(self, norm)
+            return norm
 
     def residue(self) -> int:
         """Image in F_p of an element of the unit ball."""
-        val = self.valuation()
-        if val.is_zero:
-            return 0
-        if val.is_exact:
-            if val.value < 0:
+        if self._exps:
+            if self._exps[0] < 0:
                 raise DomainError("norm-exceeds-one: element has negative valuation")
-            return self.coefficient(0)
-        if val.value <= 0:
+            return self._coeffs[0] if self._exps[0] == 0 else 0
+        if self._cut is not None and self._cut <= 0:
             raise PrecisionError(
                 "residue is undetermined: ball reaches the unit sphere"
             )
@@ -379,35 +516,111 @@ class LaurentSeries:
         Exact (no ball) when x is an exact monomial; otherwise y carries
         a cutoff so that the product identity holds at the target.
         """
-        val = self.valuation()
-        if not val.is_exact:
+        if not self._exps:
             raise PrecisionError(
                 "valuation-unknown: cannot invert a ball-only element"
             )
+        p = self.p
         tau = Fraction(target_cutoff)
-        v0 = val.value
-        c0 = self.coefficient(v0)
-        lead_inv = LaurentSeries.make(self.p, {-v0: pow(c0, -1, self.p)})
-        u = self * lead_inv - LaurentSeries.one(self.p)
+        lead_inv = _reduced(
+            p, self.level, (-self._exps[0],), (pow(self._coeffs[0], -1, p),), None
+        )
+        u = self * lead_inv - _one(p)
         if u.is_zero:
             return lead_inv
         drop = u._vstar()
         if drop <= 0:
             raise DomainError("inverse: tail does not contract (internal error)")
-        rounds = max(1, -((-tau) // drop))  # ceil(tau / drop)
-        acc = LaurentSeries.one(self.p)
-        power = LaurentSeries.one(self.p)
+        # ceil(tau / drop) with drop = drop_int / p^level(u).
+        rounds = max(
+            1, -((-tau.numerator * p**u.level) // (tau.denominator * drop))
+        )
+        acc = _one(p)
+        power = _one(p)
         for _ in range(1, rounds):
             power = power * (-u)
             acc = acc + power
         y = acc * lead_inv
-        y_cut = _min_optional(y.cutoff, tau - v0)
-        return LaurentSeries.make(self.p, dict(y.terms), y_cut)
+        bound = tau - self._fraction(self._exps[0])
+        if y._cut is not None and y.cutoff <= bound:
+            return y
+        return y._truncated(bound)
+
+    def _truncated(self, cutoff: Fraction) -> LaurentSeries:
+        """Self with its ball replaced by O(t^cutoff), cutoff below the
+        current one; raises DomainError off the lattice."""
+        p = self.p
+        cut_level = _lattice_level(cutoff, p)
+        level = max(self.level, cut_level)
+        cut = cutoff.numerator * p ** (level - cut_level)
+        exps = self._exps
+        if level > self.level:
+            scale = p ** (level - self.level)
+            exps = [e * scale for e in exps]
+        i = bisect_left(exps, cut)
+        return _reduced(p, level, tuple(exps[:i]), self._coeffs[:i], cut)
 
     def __str__(self) -> str:
         from .parsing import format_laurent
 
         return format_laurent(self)
+
+
+_set_p = LaurentSeries.p.__set__
+_set_level = LaurentSeries.level.__set__
+_set_exps = LaurentSeries._exps.__set__
+_set_coeffs = LaurentSeries._coeffs.__set__
+_set_cut = LaurentSeries._cut.__set__
+_set_terms = LaurentSeries._terms.__set__
+_set_norm = LaurentSeries._norm.__set__
+
+
+@lru_cache(maxsize=None)
+def _zero(p: int) -> LaurentSeries:
+    return LaurentSeries(_require_prime(p), 0, (), ())
+
+
+@lru_cache(maxsize=None)
+def _one(p: int) -> LaurentSeries:
+    return LaurentSeries(_require_prime(p), 0, (0,), (1,))
+
+
+def _align(a: LaurentSeries, b: LaurentSeries):
+    """(level, exps of a, cut of a, exps of b, cut of b) at the finer level."""
+    la, lb = a.level, b.level
+    if la == lb:
+        return la, a._exps, a._cut, b._exps, b._cut
+    if la < lb:
+        scale = a.p ** (lb - la)
+        cut = None if a._cut is None else a._cut * scale
+        return lb, [e * scale for e in a._exps], cut, b._exps, b._cut
+    scale = a.p ** (la - lb)
+    cut = None if b._cut is None else b._cut * scale
+    return la, a._exps, a._cut, [e * scale for e in b._exps], cut
+
+
+def _canonical(p: int, level: int, data: dict, cut) -> LaurentSeries:
+    """Series from lattice integers -> unreduced coefficients at a level:
+    drops coefficients 0 mod p and exponents at or past the cutoff."""
+    exps = sorted(data)
+    if cut is not None and exps and exps[-1] >= cut:
+        del exps[bisect_left(exps, cut):]
+    coeffs = [data[e] % p for e in exps]
+    if 0 in coeffs:
+        exps = list(compress(exps, coeffs))
+        coeffs = [c for c in coeffs if c]
+    return _reduced(p, level, tuple(exps), tuple(coeffs), cut)
+
+
+def _reduced(p: int, level: int, exps: tuple, coeffs: tuple, cut) -> LaurentSeries:
+    """Series from canonical terms at a level, moved to the smallest
+    level that holds every exponent and the cutoff."""
+    while level and (cut is None or cut % p == 0) and not any(e % p for e in exps):
+        exps = tuple([e // p for e in exps])
+        if cut is not None:
+            cut //= p
+        level -= 1
+    return LaurentSeries(p, level, exps, coeffs, cut)
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,7 @@ class SplittingMap:
             raise BackendMismatch(
                 "lattice mismatch: element is finer than the splitting domain"
             )
-        scale = self.p**self.level
-        kept = {e: c for e, c in x.terms if (e * scale).denominator == 1}
-        return LaurentSeries.make(self.p, kept, x.cutoff)
+        return x.lattice_part(self.level)
 
     def apply_to_root_class(self, x: LaurentSeries) -> LaurentSeries:
         """p^(-1)-linear avatar: root the argument, then project."""

@@ -400,14 +400,3 @@ def format_tate(f: TateElem) -> str:
     if f.slack is not None:
         parts.append(f"O({format_norm_value(f.slack)})")
     return " + ".join(parts) if parts else "0"
-
-
-def parse_series(text: str, dialect: str, p: int, n: int | None = None):
-    """Parse a literal in the named dialect: laurent, hahn, or tate."""
-    if dialect == "laurent":
-        return parse_laurent(text, p)
-    if dialect == "hahn":
-        return parse_hahn(text, p)
-    if dialect == "tate":
-        return parse_tate(text, p, n)
-    raise ValueError(f"unknown dialect {dialect!r}")

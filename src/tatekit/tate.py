@@ -154,11 +154,11 @@ class TateElem:
                 data[idx] = data[idx] + prod if idx in data else prod
         candidates = []
         if self.slack is not None:
-            g = _explicit_gauss(other)
+            g = explicit_max_norm(c for _, c in other.terms)
             if not g.is_zero:
                 candidates.append(self.slack * g)
         if other.slack is not None:
-            g = _explicit_gauss(self)
+            g = explicit_max_norm(c for _, c in self.terms)
             if not g.is_zero:
                 candidates.append(other.slack * g)
         if self.slack is not None and other.slack is not None:
@@ -195,9 +195,10 @@ def _combine_slack_max(a: NormValue | None, b: NormValue | None) -> NormValue | 
     return norm_max(a, b)
 
 
-def _explicit_gauss(f: TateElem) -> NormValue:
+def explicit_max_norm(coeffs) -> NormValue:
+    """Largest norm among an iterable of coefficients (0 when empty)."""
     best = NormValue.zero()
-    for _, c in f.terms:
+    for c in coeffs:
         n = c.norm()
         if best.is_zero or n.compare(best) > 0:
             best = n
@@ -209,7 +210,7 @@ def gauss_norm(f: TateElem) -> NormValue:
     nonempty (normalization folds dominated coefficients into slack);
     a slack-only element yields only an upper bound."""
     if f.terms:
-        return _explicit_gauss(f)
+        return explicit_max_norm(c for _, c in f.terms)
     if f.slack is None:
         return NormValue.zero()
     return NormValue.at_most(f.slack.exponent)
@@ -287,7 +288,7 @@ def euclid_degree(f: TateElem) -> int:
         raise DomainError("the Euclidean degree needs an exact element")
     if not f.terms:
         raise DomainError("zero-input: the zero series has no degree")
-    total = _explicit_gauss(f)
+    total = explicit_max_norm(c for _, c in f.terms)
     return max(idx[0] for idx, c in f.terms if c.norm().compare(total) == 0)
 
 
@@ -346,9 +347,11 @@ def find_distinguishing_automorphism(gs: list[TateElem]) -> AutomorphismSpec:
         return AutomorphismSpec(())
     degree = max(g.total_degree() for g in gs)
     weights = [(degree + 1) ** (n - 1 - i) for i in range(n - 1)]
-    candidates = [tuple([0] * (n - 1))]
-    for c in range(0, 2 + degree**n):
-        candidates.append(tuple(1 + c * w for w in weights))
+    # Generated lazily: the bound 2 + D^n is far past c = D+1.
+    candidates = itertools.chain(
+        [tuple([0] * (n - 1))],
+        (tuple(1 + c * w for w in weights) for c in range(2 + degree**n)),
+    )
     for exponents in candidates:
         spec = AutomorphismSpec(exponents)
         if all(

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DomainError, PrecisionError
 from .field import LaurentSeries, NormValue
-from .tate import TateElem, euclid_degree
+from .tate import TateElem, euclid_degree, explicit_max_norm
 
 # Extra rounds past the predicted convergence point before giving up.
 _EXTRA_ROUNDS = 8
@@ -31,15 +31,6 @@ def _require_exact_t1(f: TateElem, name: str) -> None:
     for _, c in f.terms:
         if not isinstance(c, LaurentSeries):
             raise BackendMismatch("division needs Laurent coefficients")
-
-
-def _explicit_max_norm(coeffs: dict[int, LaurentSeries]) -> NormValue:
-    best = NormValue.zero()
-    for c in coeffs.values():
-        n = c.norm()
-        if best.is_zero or n.compare(best) > 0:
-            best = n
-    return best
 
 
 def _longdiv_pass(
@@ -68,8 +59,9 @@ def _longdiv_pass(
         u[d - order] = step
         for k, pk in head.items():
             pos = d - order + k
-            prev = work.get(pos, LaurentSeries.zero(step.p))
-            work[pos] = prev - step * pk
+            prod = step * pk
+            prev = work.get(pos)
+            work[pos] = -prod if prev is None else prev - prod
     leftover = {d: c for d, c in work.items() if d >= order and not c.is_zero}
     low = {d: c for d, c in work.items() if d < order and not c.is_zero}
     return u, leftover, low
@@ -108,8 +100,7 @@ def divide(
     f_val = _dominant_exponent(f)
     floor_exp = min(Fraction(0), f_val)
     kappa = max(Fraction(1), tau - floor_exp + 2)
-    inv_full = head[order].inverse(kappa)
-    inv_dominant = LaurentSeries.make(p, dict(inv_full.terms))
+    inv_dominant = head[order].inverse(kappa).explicit_part()
 
     contraction = kappa
     if tail:
@@ -126,7 +117,7 @@ def divide(
         if not h:
             residue_norm = None
             break
-        bound = _explicit_max_norm(h)
+        bound = explicit_max_norm(h.values())
         if bound.compare(target_slack) <= 0:
             residue_norm = bound
             break
@@ -140,8 +131,8 @@ def divide(
             for dt, ct in tail.items():
                 pos = du + dt
                 prod = cu * ct
-                prev = h.get(pos, LaurentSeries.zero(p))
-                h[pos] = prev - prod
+                prev = h.get(pos)
+                h[pos] = -prod if prev is None else prev - prod
     else:
         raise PrecisionError(
             "nonconvergence-at-bound: division iteration cap reached"
@@ -189,7 +180,11 @@ def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:
     while b.terms:
         _, r = divide(a, b, target_slack)
         r_explicit = TateElem.make(1, p, dict(r.terms))
-        if r_explicit.terms and _explicit_norm(r_explicit).compare(target_slack) <= 0:
+        if (
+            r_explicit.terms
+            and explicit_max_norm(c for _, c in r_explicit.terms).compare(target_slack)
+            <= 0
+        ):
             r_explicit = TateElem.zero(1, p)
         a, b = b, r_explicit
     d = a
@@ -197,12 +192,3 @@ def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:
     x_power = TateElem.monomial(1, (order,), LaurentSeries.one(p))
     _, rem = divide(x_power, d, target_slack)
     return x_power - rem
-
-
-def _explicit_norm(f: TateElem) -> NormValue:
-    best = NormValue.zero()
-    for _, c in f.terms:
-        n = c.norm()
-        if best.is_zero or n.compare(best) > 0:
-            best = n
-    return best

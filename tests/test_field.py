@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from tatekit.errors import BackendMismatch, DomainError, PrecisionError
 from tatekit.exponents import ExponentVector
 from tatekit.field import HahnSum, LaurentSeries, NormValue
+from tatekit.frobenius import phi_standard
 from tatekit.selftest import sample_hahn, sample_laurent
 
 E1 = ExponentVector.unit(1)
@@ -299,3 +301,166 @@ class TestLattice:
         a = LaurentSeries.t_power(2, Fraction(1, 2))
         b = LaurentSeries.t_power(2, 1)
         assert (a + b).level == 1
+
+
+# A reference kernel for the differential test: a series is a pair
+# (dict {Fraction exponent: coefficient}, cutoff or None), computed
+# straight from the definitions with no lattice bookkeeping.
+
+
+def ref_canon(p, terms, cutoff):
+    kept = {
+        e: c % p for e, c in terms.items() if c % p and (cutoff is None or e < cutoff)
+    }
+    return kept, cutoff
+
+
+def ref_add(p, x, y):
+    total = dict(x[0])
+    for e, c in y[0].items():
+        total[e] = total.get(e, 0) + c
+    cuts = [c for c in (x[1], y[1]) if c is not None]
+    return ref_canon(p, total, min(cuts) if cuts else None)
+
+
+def ref_neg(p, x):
+    return ref_canon(p, {e: -c for e, c in x[0].items()}, x[1])
+
+
+def ref_mul(p, x, y):
+    if (not x[0] and x[1] is None) or (not y[0] and y[1] is None):
+        return {}, None
+    cuts = []
+    for a, b in ((x, y), (y, x)):
+        if b[1] is not None:
+            # The ball of b times the lowest explicit or ball exponent of a.
+            cuts.append(min([*a[0], *([a[1]] if a[1] is not None else [])]) + b[1])
+    product = {}
+    for e1, c1 in x[0].items():
+        for e2, c2 in y[0].items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    return ref_canon(p, product, min(cuts) if cuts else None)
+
+
+def ref_scale(p, x, factor):
+    cut = None if x[1] is None else x[1] * factor
+    return ref_canon(p, {e * factor: c for e, c in x[0].items()}, cut)
+
+
+def ref_split(p, level, x):
+    """Terms with exponent in (1/p^level)Z, same cutoff."""
+    kept = {e: c for e, c in x[0].items() if (e * p**level).denominator == 1}
+    return kept, x[1]
+
+
+def ref_level(p, x):
+    values = [*x[0], *([x[1]] if x[1] is not None else [])]
+    level = 0
+    while any((v * p**level).denominator != 1 for v in values):
+        level += 1
+    return level
+
+
+def sample_ref(rng, p):
+    """Up to five terms with exponents in [-12/p^k, 12/p^k], k in 0..2
+    (coefficient 0 allowed), and a cutoff half of the time."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = Fraction(rng.randint(-12, 12), p ** rng.randint(0, 2))
+        terms[e] = terms.get(e, 0) + rng.randint(0, p - 1)
+    cutoff = None
+    if rng.random() < 0.5:
+        cutoff = Fraction(rng.randint(-6, 14), p ** rng.randint(0, 2))
+    return ref_canon(p, terms, cutoff)
+
+
+def assert_matches(got, p, ref):
+    terms, cutoff = ref
+    assert got.terms == tuple(sorted(terms.items()))
+    assert got.cutoff == cutoff
+    assert got.level == ref_level(p, ref)
+
+
+class TestLatticeKernelDifferential:
+    """The integer-lattice kernel against the dict-of-Fraction reference."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_ring_ops_frobenius_root_and_splitting(self, rng, p):
+        for _ in range(150):
+            x, y = sample_ref(rng, p), sample_ref(rng, p)
+            a = LaurentSeries.make(p, x[0], x[1])
+            b = LaurentSeries.make(p, y[0], y[1])
+            assert_matches(a, p, x)
+            for e in [*x[0], Fraction(1, p**3), Fraction(-13)]:
+                assert a.coefficient(e) == x[0].get(e, 0)
+            assert_matches(a + b, p, ref_add(p, x, y))
+            assert_matches(a - b, p, ref_add(p, x, ref_neg(p, y)))
+            assert_matches(a * b, p, ref_mul(p, x, y))
+            assert_matches(a.frobenius(), p, ref_scale(p, x, p))
+            assert_matches(a.pth_root(), p, ref_scale(p, x, Fraction(1, p)))
+            for level in range(3):
+                phi = phi_standard(p, level=level)
+                if ref_level(p, x) > level + 1:
+                    with pytest.raises(BackendMismatch):
+                        phi.apply(a)
+                else:
+                    assert_matches(phi.apply(a), p, ref_split(p, level, x))
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_level_minimal_after_cancellation(self, p):
+        root = LaurentSeries.t_power(p, Fraction(1, p))
+        x = LaurentSeries.one(p) + root
+        assert x.level == 1
+        assert (x - root).level == 0
+        assert (x - root) == LaurentSeries.one(p)
+        # t^(1/p) * t^((p-1)/p) = t lands back on the integer lattice.
+        prod = root * LaurentSeries.t_power(p, Fraction(p - 1, p))
+        assert prod.level == 0 and prod == LaurentSeries.t_power(p, 1)
+        # A coefficient that vanishes mod p leaves no level behind.
+        assert L(p, {1: 1, Fraction(1, p**2): p}).level == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_level_minimal_after_a_cutoff_drops_terms(self, p):
+        x = L(p, {0: 1, Fraction(p + 1, p): 1})
+        assert x.level == 1
+        assert (x + LaurentSeries.ball(p, 1)).level == 0
+        assert L(p, {0: 1, Fraction(p + 1, p): 1}, cutoff=1).level == 0
+        near_one = L(p, {0: 1}, cutoff=1)  # 1 + O(t)
+        prod = x * near_one
+        assert prod.terms == ((Fraction(0), 1),) and prod.cutoff == 1
+        assert prod.level == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_level_minimal_after_frobenius(self, p):
+        x = L(p, {Fraction(1, p**2): 1, Fraction(1, p): 2 % p or 1})
+        assert x.level == 2
+        assert x.frobenius().level == 1
+        assert x.frobenius().frobenius().level == 0
+        assert L(p, {1: 1}, cutoff=Fraction(1, p)).frobenius().level == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equal_values_built_differently(self, p):
+        t = LaurentSeries.t_power(p, 1)
+        root = LaurentSeries.t_power(p, Fraction(1, p))
+        power = LaurentSeries.one(p)
+        for _ in range(p):
+            power = power * root
+        built = [
+            t,
+            power,
+            root.frobenius(),
+            t.frobenius().pth_root(),
+            L(p, [(Fraction(p, p), 1)]),
+            L(p, [(1, 1), (Fraction(1, p), 1), (Fraction(1, p), p - 1)]),
+            L(p, {1: 1, 2: 1}, cutoff=Fraction(2 * p, p)).explicit_part(),
+            (t + root) - root,
+            t.scalar_mul(p + 1),
+            (L(p, {1: 1}, cutoff=3) + LaurentSeries.t_power(p, 3)).explicit_part(),
+            pickle.loads(pickle.dumps(t)),
+        ]
+        for other in built:
+            assert other == t
+            assert hash(other) == hash(t)
+        assert t != root and t != LaurentSeries.ball(p, 2) + t

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,22 @@ class TestFindAutomorphism:
         p = 5
         spec = find_distinguishing_automorphism([TateElem.constant(2, t(p))])
         assert spec.exponents == (0,)
+
+    def test_search_memory_is_bounded(self):
+        # X1^40 + X2 + X3 is distinguished as it stands, so the first
+        # candidate (0, 0) wins; the other 2 + 40^3 must not be built.
+        p = 3
+        f = TateElem.make(
+            3, p, {(40, 0, 0): one(p), (0, 1, 0): one(p), (0, 0, 1): one(p)}
+        )
+        tracemalloc.start()
+        try:
+            spec = find_distinguishing_automorphism([f])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.exponents == (0, 0)
+        assert peak < 1_000_000
 
     def test_verified_on_random_inputs(self, rng):
         for _ in range(60):
