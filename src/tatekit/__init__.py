@@ -18,7 +18,7 @@ from .exponents import (
     enclose,
     find_p_multiple_near,
 )
-from .field import HahnSum, LaurentSeries, NormValue, Valuation
+from .field import HahnSum, LaurentSeries, NormValue
 from .tate import (
     AutomorphismSpec,
     DistinguishedReport,
@@ -48,7 +48,6 @@ __all__ = [
     "SearchExhausted",
     "TateElem",
     "TatekitError",
-    "Valuation",
     "apply_automorphism",
     "bounded_coset_representatives",
     "compare",

@@ -52,6 +52,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational, got {text!r}") from None
+
+
+def _rationals(text: str) -> tuple[Fraction, ...]:
+    return tuple(_rational(x) for x in text.split(","))
+
+
+def _file_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise argparse.ArgumentTypeError(f"cannot read {path!r}: {reason}")
+
+
 def _emit(pairs, fmt, out) -> None:
     sep = "=" if fmt == "records" else " = "
     for key, value in pairs:
@@ -112,27 +144,33 @@ def _build_parser() -> _Parser:
     common(p_cert)
     p_cert.add_argument("--f", required=True)
     p_cert.add_argument("--n", type=int, default=None)
-    p_cert.add_argument("--log-radii", required=True, dest="log_radii")
-    p_cert.add_argument("--log-bound", required=True, dest="log_bound")
+    p_cert.add_argument(
+        "--log-radii", required=True, dest="log_radii", type=_rationals
+    )
+    p_cert.add_argument("--log-bound", required=True, dest="log_bound", type=_rational)
 
     p_diag = sub.add_parser(
         "diag-select", description="diagonal index selection over a norm table"
     )
     common(p_diag)
-    p_diag.add_argument("--table", required=True, help="CSV file with header i,j,v")
-    p_diag.add_argument("--floors", required=True, help="comma-separated rationals")
+    p_diag.add_argument(
+        "--table", required=True, type=_file_text, help="CSV file with header i,j,v"
+    )
+    p_diag.add_argument(
+        "--floors", required=True, type=_rationals, help="comma-separated rationals"
+    )
     p_diag.add_argument("--count", type=int, required=True)
 
     p_gab = sub.add_parser("gabber", description="compositum-field witnesses")
     common(p_gab)
     p_gab.add_argument("action", choices=["reps", "witness", "distance"])
-    p_gab.add_argument("--count", type=int, default=None)
-    p_gab.add_argument("--N", type=int, default=None)
+    p_gab.add_argument("--count", type=_positive_int, default=None)
+    p_gab.add_argument("--N", type=_positive_int, default=None)
     p_gab.add_argument("--g", default=None)
 
     p_self = sub.add_parser("selftest", description="run the invariant suites")
     common(p_self)
-    p_self.add_argument("--trials", type=int, default=200)
+    p_self.add_argument("--trials", type=_positive_int, default=200)
     p_self.add_argument("--seed", type=int, default=None)
 
     return parser
@@ -201,8 +239,7 @@ def _cmd_split(args, out) -> int:
 
 def _cmd_certify(args, out) -> int:
     f = parse_tate(args.f, args.p, args.n)
-    radii = tuple(Fraction(x) for x in args.log_radii.split(","))
-    cert = ConvergenceCertificate(radii, Fraction(args.log_bound))
+    cert = ConvergenceCertificate(args.log_radii, args.log_bound)
     image, out_cert = lift_splitting_convergent(phi_standard(args.p), f, cert)
     _emit(
         [
@@ -218,10 +255,7 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_diag_select(args, out) -> int:
-    with open(args.table, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    floors = [Fraction(x) for x in args.floors.split(",")]
-    table = NormTable.from_csv(text, floors)
+    table = NormTable.from_csv(args.table, args.floors)
     steps = select_diagonal_indices(table, args.count)
     pairs = []
     for step in steps:

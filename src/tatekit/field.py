@@ -20,10 +20,13 @@ result is renormalised to its smallest level, so equal values have
 equal representations.  ``terms`` and ``cutoff`` are read-only
 Fraction views, built when read.
 
-Norms are written multiplicatively as e^(-v); ``NormValue`` carries the
-exponent v, which is a Fraction for the Laurent backend and an
-``ExponentVector`` for the Hahn backend.  Ordering of norms reverses
-the ordering of exponents, and |0| = 0 is the minimum.
+Norms are written multiplicatively as e^(-v); ``NormValue`` is the one
+record of both norm and valuation for both backends.  It carries the
+exponent v, a Fraction for the Laurent backend and an ``ExponentVector``
+for the Hahn backend: ``finite`` when v is the exact valuation (the
+least explicit exponent), ``at_most`` when only the ball bounds it
+(v >= cutoff), or ``zero``.  Ordering of norms reverses the ordering of
+exponents, and |0| = 0 is the minimum.
 """
 
 from __future__ import annotations
@@ -50,9 +53,6 @@ Exponent = Union[Fraction, ExponentVector]
 _ZERO = "zero"
 _FINITE = "finite"
 _AT_MOST = "at_most"
-
-_EXACT = "exact"
-_AT_LEAST = "at_least"
 
 
 @dataclass(frozen=True)
@@ -144,45 +144,6 @@ class NormValue:
 
 def norm_max(a: NormValue, b: NormValue) -> NormValue:
     return a if a.compare(b) >= 0 else b
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """Result of reading off the leading exponent of an element."""
-
-    kind: str
-    value: Exponent | None = None
-
-    @classmethod
-    def exact(cls, value: Exponent) -> Valuation:
-        return cls(_EXACT, value)
-
-    @classmethod
-    def at_least(cls, value: Exponent) -> Valuation:
-        return cls(_AT_LEAST, value)
-
-    @classmethod
-    def zero(cls) -> Valuation:
-        return cls(_ZERO)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == _EXACT
-
-    @property
-    def is_at_least(self) -> bool:
-        return self.kind == _AT_LEAST
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == _ZERO
-
-    def to_norm(self) -> NormValue:
-        if self.is_zero:
-            return NormValue.zero()
-        if self.is_exact:
-            return NormValue.finite(self.value)
-        return NormValue.at_most(self.value)
 
 
 def _min_optional(a, b):
@@ -482,21 +443,20 @@ class LaurentSeries:
             return self
         return _reduced(self.p, self.level, self._exps, self._coeffs, None)
 
-    def valuation(self) -> Valuation:
-        if self._exps:
-            return Valuation.exact(self._fraction(self._exps[0]))
-        if self._cut is not None:
-            return Valuation.at_least(self._fraction(self._cut))
-        return Valuation.zero()
-
     def norm(self) -> NormValue:
         # Cached: Tate-level code asks the same coefficient many times.
         try:
             return self._norm
         except AttributeError:
-            norm = self.valuation().to_norm()
-            _set_norm(self, norm)
-            return norm
+            pass
+        if self._exps:
+            norm = NormValue.finite(self._fraction(self._exps[0]))
+        elif self._cut is not None:
+            norm = NormValue.at_most(self._fraction(self._cut))
+        else:
+            norm = NormValue.zero()
+        _set_norm(self, norm)
+        return norm
 
     def residue(self) -> int:
         """Image in F_p of an element of the unit ball."""
@@ -752,26 +712,23 @@ class HahnSum:
             self.p, {e.divided_by(self.p): c for e, c in self.terms}, cutoff
         )
 
-    def valuation(self) -> Valuation:
-        if self.terms:
-            return Valuation.exact(self.terms[0][0])
-        if self.cutoff is not None:
-            return Valuation.at_least(self.cutoff)
-        return Valuation.zero()
-
     def norm(self) -> NormValue:
-        return self.valuation().to_norm()
+        if self.terms:
+            return NormValue.finite(self.terms[0][0])
+        if self.cutoff is not None:
+            return NormValue.at_most(self.cutoff)
+        return NormValue.zero()
 
     def residue(self) -> int:
-        val = self.valuation()
-        if val.is_zero:
+        norm = self.norm()
+        if norm.is_zero:
             return 0
         zero_vec = ExponentVector.zero()
-        if val.is_exact:
-            if val.value < zero_vec:
+        if norm.is_finite:
+            if norm.exponent < zero_vec:
                 raise DomainError("norm-exceeds-one: element has negative valuation")
             return self.coefficient(zero_vec)
-        if not (zero_vec < val.value):
+        if not (zero_vec < norm.exponent):
             raise PrecisionError(
                 "residue is undetermined: ball reaches the unit sphere"
             )

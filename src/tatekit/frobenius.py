@@ -229,28 +229,6 @@ def frobenius_components(phi: SplittingMap, f: TateElem) -> dict:
     }
 
 
-def reconstruct_from_components(
-    phi: SplittingMap, f: TateElem
-) -> TateElem:
-    """Reassemble f from its direct-summand components (test oracle)."""
-    p = phi.p
-    level = 0
-    for _, c in f.terms:
-        level = max(level, c.level)
-    unit_exp = Fraction(1, p**level)
-    total = TateElem.zero(f.n, p)
-    for (j, e_class), comp in frobenius_components(phi, f).items():
-        shift = TateElem.monomial(
-            f.n, e_class, LaurentSeries.t_power(p, j * unit_exp)
-        )
-        powered = comp.map_coefficients(lambda c: c.frobenius())
-        powered = TateElem.make(
-            f.n, p, {tuple(k * p for k in idx): c for idx, c in powered.terms}
-        )
-        total = total + shift * powered
-    return total
-
-
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     """Radii and bound in the log scale: radius_j = e^(log_radii[j]),
@@ -268,10 +246,10 @@ class ConvergenceCertificate:
         if len(self.log_radii) != f.n:
             raise DomainError("certificate arity does not match")
         for idx, coeff in f.terms:
-            val = coeff.valuation()
-            if not val.is_exact:
+            norm = coeff.norm()
+            if not norm.is_finite:
                 raise DomainError("certificates need exact coefficients")
-            lhs = -val.value + sum(
+            lhs = -norm.exponent + sum(
                 k * rho for k, rho in zip(idx, self.log_radii)
             )
             if lhs > self.log_bound:
@@ -317,6 +295,8 @@ class NormTable:
 
     @classmethod
     def from_entries(cls, entries: dict, floors) -> NormTable:
+        if not entries:
+            raise DomainError("norm table has no entries")
         rows = max(i for i, _ in entries) + 1
         cols = max(j for _, j in entries) + 1
         floors = tuple(Fraction(x) for x in floors)
@@ -334,8 +314,13 @@ class NormTable:
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
-            i, j, v = (cell.strip() for cell in row)
-            entries[(int(i), int(j))] = Fraction(v)
+            try:
+                i, j, v = (cell.strip() for cell in row)
+                entries[(int(i), int(j))] = Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(
+                    f"norm table line {reader.line_num} is not i,j,v"
+                ) from None
         return cls.from_entries(entries, floors)
 
     def validate(self) -> None:

@@ -21,7 +21,7 @@ from .exponents import (
     bounded_coset_representatives,
     compare,
 )
-from .field import HahnSum
+from .field import HahnSum, _require_prime
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class GabberContext:
 
 
 def build_context(p: int, count: int) -> GabberContext:
-    reps = bounded_coset_representatives(p, count)
+    reps = bounded_coset_representatives(_require_prime(p), count)
     for a, b in zip(reps, reps[1:]):
         if compare(a, b) <= 0:
             raise DomainError(
@@ -113,13 +113,13 @@ def distance_lower_bound_check(
         raise DomainError("all witness cosets are present in g")
     witness = witness_truncation(ctx, upto)
     difference = witness - g
-    val = difference.valuation()
-    if not val.is_exact:
+    norm = difference.norm()
+    if not norm.is_finite:
         raise DomainError("difference has no exact valuation (internal error)")
     bound = -ctx.rep(i)
-    at_least_bound = compare(val.value, bound) <= 0
-    exceeds_one = compare(val.value, ExponentVector.zero()) < 0
-    return DistanceReport(i, bound, val.value, at_least_bound and exceeds_one)
+    at_least_bound = compare(norm.exponent, bound) <= 0
+    exceeds_one = compare(norm.exponent, ExponentVector.zero()) < 0
+    return DistanceReport(i, bound, norm.exponent, at_least_bound and exceeds_one)
 
 
 def value_group_witness(ctx: GabberContext, exponent: ExponentVector) -> MElem:

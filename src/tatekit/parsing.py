@@ -1,6 +1,7 @@
 """Parsers and printers for the series literal grammars.
 
-Three dialects share one scanner:
+Three dialects share one scanner and one sum grammar,
+``term (+ term)* [+ O(...)]`` or a lone ``O(...)``:
 
 * Laurent:  ``1 + 2*t^3 + O(t^5)``, ``t^-1/2``: integer coefficients,
   rational exponents, optional trailing ball.
@@ -55,11 +56,8 @@ class _Scanner:
         if not self.try_consume(literal):
             self.error(f"expected '{literal}'")
 
-    def at_end(self) -> bool:
-        return self.peek() is None
-
     def expect_end(self) -> None:
-        if not self.at_end():
+        if self.peek() is not None:
             self.error("unexpected trailing input")
 
     def parse_unsigned(self) -> int:
@@ -77,6 +75,16 @@ class _Scanner:
         if self.try_consume("-"):
             sign = -1
         return sign * self.parse_unsigned()
+
+    def parse_index(self, kind: str) -> int:
+        """A 1-based index; an error points at its first digit."""
+        self._ws()
+        start = self.pos
+        index = self.parse_unsigned()
+        if index < 1:
+            self.pos = start
+            self.error(f"{kind} indices are 1-based")
+        return index
 
     def parse_rational(self) -> Fraction:
         self._ws()
@@ -96,7 +104,7 @@ def _parse_exponent_vector(sc: _Scanner) -> ExponentVector:
     data: dict[int, int] = {}
     if sc.peek() != "]":
         while True:
-            index = sc.parse_unsigned()
+            index = sc.parse_index("generator")
             sc.expect(":")
             coeff = sc.parse_int()
             data[index] = data.get(index, 0) + coeff
@@ -106,71 +114,113 @@ def _parse_exponent_vector(sc: _Scanner) -> ExponentVector:
     return ExponentVector.from_dict(data)
 
 
-def parse_exponent_vector(text: str) -> ExponentVector:
+def _parse_whole(text: str, read):
+    """read(scanner) over all of text."""
     sc = _Scanner(text)
-    vec = _parse_exponent_vector(sc)
+    value = read(sc)
     sc.expect_end()
-    return vec
+    return value
+
+
+def parse_exponent_vector(text: str) -> ExponentVector:
+    return _parse_whole(text, _parse_exponent_vector)
 
 
 # ---------------------------------------------------------------------------
-# Laurent dialect
+# Sums and the two field dialects
+#
+# The Laurent and Hahn dialects differ only in what follows ``t``:
+# ``^rational`` (nothing for exponent 1) against ``^[i:c, ...]``.
 
 
-def _parse_laurent_term(sc: _Scanner) -> tuple[Fraction, int]:
-    ch = sc.peek()
-    coeff = None
-    if ch is not None and (ch.isdigit() or ch == "-"):
-        coeff = sc.parse_int()
-        if sc.try_consume("*"):
-            if sc.peek() != "t":
-                sc.error("expected 't' after '*'")
-    if sc.peek() == "t":
-        sc.expect("t")
-        exponent = Fraction(1)
-        if sc.try_consume("^"):
-            exponent = sc.parse_rational()
-        return exponent, 1 if coeff is None else coeff
-    if coeff is None:
-        sc.error("expected a term")
-    return Fraction(0), coeff
-
-
-def _parse_laurent_cutoff(sc: _Scanner) -> Fraction:
+def _parse_sum(sc: _Scanner, term, inside) -> tuple[list, object]:
+    """``term (+ term)* [+ O(...)]`` or a lone ``O(...)``: the terms and
+    what inside(scanner) reads between the parentheses, or None."""
+    terms = []
+    if sc.peek() != "O":
+        terms.append(term(sc))
+        while True:
+            if not sc.try_consume("+"):
+                return terms, None
+            if sc.peek() == "O":
+                break
+            terms.append(term(sc))
     sc.expect("O")
     sc.expect("(")
-    if sc.peek() != "t":
-        sc.error("expected 't' inside O(...)")
-    sc.expect("t")
-    exponent = Fraction(1)
-    if sc.try_consume("^"):
-        exponent = sc.parse_rational()
+    ball = inside(sc)
     sc.expect(")")
-    return exponent
+    return terms, ball
+
+
+def _parse_field_series(sc: _Scanner, p: int, make, exponent, zero):
+    """A field literal; exponent(scanner) reads what follows ``t``, and
+    zero is the exponent of a constant term."""
+
+    def term(sc: _Scanner):
+        # c, t..., c*t... or ct...
+        ch = sc.peek()
+        has_coeff = ch is not None and (ch.isdigit() or ch == "-")
+        coeff = 1
+        if has_coeff:
+            coeff = sc.parse_int()
+            if sc.try_consume("*") and sc.peek() != "t":
+                sc.error("expected 't' after '*'")
+        if sc.try_consume("t"):
+            return exponent(sc), coeff
+        if not has_coeff:
+            sc.error("expected a term")
+        return zero, coeff
+
+    def cutoff(sc: _Scanner):
+        if not sc.try_consume("t"):
+            sc.error("expected 't' inside O(...)")
+        return exponent(sc)
+
+    terms, cut = _parse_sum(sc, term, cutoff)
+    return make(p, terms, cut)
+
+
+def _format_field_sum(series, exponent, zero) -> str:
+    """Inverse of the field grammar; exponent(e) prints what follows t."""
+    parts = []
+    for e, coeff in series.terms:
+        if e == zero:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(f"t{exponent(e)}")
+        else:
+            parts.append(f"{coeff}*t{exponent(e)}")
+    if series.cutoff is not None:
+        parts.append(f"O(t{exponent(series.cutoff)})")
+    return " + ".join(parts) if parts else "0"
+
+
+def _laurent_exponent(sc: _Scanner) -> Fraction:
+    return sc.parse_rational() if sc.try_consume("^") else Fraction(1)
+
+
+def _hahn_exponent(sc: _Scanner) -> ExponentVector:
+    sc.expect("^")
+    return _parse_exponent_vector(sc)
 
 
 def _parse_laurent_body(sc: _Scanner, p: int) -> LaurentSeries:
-    terms: dict[Fraction, int] = {}
-    cutoff = None
-    if sc.peek() == "O":
-        cutoff = _parse_laurent_cutoff(sc)
-        return LaurentSeries.make(p, terms, cutoff)
-    exponent, coeff = _parse_laurent_term(sc)
-    terms[exponent] = terms.get(exponent, 0) + coeff
-    while sc.try_consume("+"):
-        if sc.peek() == "O":
-            cutoff = _parse_laurent_cutoff(sc)
-            break
-        exponent, coeff = _parse_laurent_term(sc)
-        terms[exponent] = terms.get(exponent, 0) + coeff
-    return LaurentSeries.make(p, terms, cutoff)
+    return _parse_field_series(
+        sc, p, LaurentSeries.make, _laurent_exponent, Fraction(0)
+    )
 
 
 def parse_laurent(text: str, p: int) -> LaurentSeries:
-    sc = _Scanner(text)
-    series = _parse_laurent_body(sc, p)
-    sc.expect_end()
-    return series
+    return _parse_whole(text, lambda sc: _parse_laurent_body(sc, p))
+
+
+def parse_hahn(text: str, p: int) -> HahnSum:
+    return _parse_whole(
+        text,
+        lambda sc: _parse_field_series(
+            sc, p, HahnSum.make, _hahn_exponent, ExponentVector.zero()
+        ),
+    )
 
 
 def format_rational(x: Fraction) -> str:
@@ -180,81 +230,13 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_laurent(series: LaurentSeries) -> str:
-    parts = []
-    for exponent, coeff in series.terms:
-        if exponent == 0:
-            parts.append(str(coeff))
-            continue
-        tpart = "t" if exponent == 1 else f"t^{format_rational(exponent)}"
-        parts.append(tpart if coeff == 1 else f"{coeff}*{tpart}")
-    if series.cutoff is not None:
-        cut = series.cutoff
-        parts.append("O(t)" if cut == 1 else f"O(t^{format_rational(cut)})")
-    return " + ".join(parts) if parts else "0"
-
-
-# ---------------------------------------------------------------------------
-# Hahn dialect
-
-
-def _parse_hahn_term(sc: _Scanner) -> tuple[ExponentVector, int]:
-    ch = sc.peek()
-    coeff = None
-    if ch is not None and (ch.isdigit() or ch == "-"):
-        coeff = sc.parse_int()
-        if sc.try_consume("*"):
-            if sc.peek() != "t":
-                sc.error("expected 't' after '*'")
-    if sc.peek() == "t":
-        sc.expect("t")
-        sc.expect("^")
-        exponent = _parse_exponent_vector(sc)
-        return exponent, 1 if coeff is None else coeff
-    if coeff is None:
-        sc.error("expected a term")
-    return ExponentVector.zero(), coeff
-
-
-def _parse_hahn_cutoff(sc: _Scanner) -> ExponentVector:
-    sc.expect("O")
-    sc.expect("(")
-    sc.expect("t")
-    sc.expect("^")
-    exponent = _parse_exponent_vector(sc)
-    sc.expect(")")
-    return exponent
-
-
-def parse_hahn(text: str, p: int) -> HahnSum:
-    sc = _Scanner(text)
-    terms: dict[ExponentVector, int] = {}
-    cutoff = None
-    if sc.peek() == "O":
-        cutoff = _parse_hahn_cutoff(sc)
-    else:
-        exponent, coeff = _parse_hahn_term(sc)
-        terms[exponent] = terms.get(exponent, 0) + coeff
-        while sc.try_consume("+"):
-            if sc.peek() == "O":
-                cutoff = _parse_hahn_cutoff(sc)
-                break
-            exponent, coeff = _parse_hahn_term(sc)
-            terms[exponent] = terms.get(exponent, 0) + coeff
-    sc.expect_end()
-    return HahnSum.make(p, terms, cutoff)
+    return _format_field_sum(
+        series, lambda e: "" if e == 1 else f"^{format_rational(e)}", 0
+    )
 
 
 def format_hahn(series: HahnSum) -> str:
-    parts = []
-    for exponent, coeff in series.terms:
-        if exponent.is_zero:
-            parts.append(str(coeff))
-            continue
-        tpart = f"t^{exponent}"
-        parts.append(tpart if coeff == 1 else f"{coeff}*{tpart}")
-    if series.cutoff is not None:
-        parts.append(f"O(t^{series.cutoff})")
-    return " + ".join(parts) if parts else "0"
+    return _format_field_sum(series, lambda e: f"^{e}", ExponentVector.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +253,7 @@ def _parse_norm_value(sc: _Scanner) -> NormValue:
 
 
 def parse_norm_value(text: str) -> NormValue:
-    sc = _Scanner(text)
-    value = _parse_norm_value(sc)
-    sc.expect_end()
-    return value
+    return _parse_whole(text, _parse_norm_value)
 
 
 def format_norm_value(value: NormValue) -> str:
@@ -297,9 +276,7 @@ def _parse_tate_monomial_unit(sc: _Scanner) -> tuple[int, int]:
     index = 1
     ch = sc.peek()
     if ch is not None and ch.isdigit():
-        index = sc.parse_unsigned()
-        if index < 1:
-            sc.error("variable indices are 1-based")
+        index = sc.parse_index("variable")
     power = 1
     if sc.try_consume("^"):
         power = sc.parse_unsigned()
@@ -337,28 +314,12 @@ def _parse_tate_term(sc: _Scanner, p: int):
     return coeff, exponents
 
 
-def _parse_tate_slack(sc: _Scanner) -> NormValue:
-    sc.expect("O")
-    sc.expect("(")
-    value = _parse_norm_value(sc)
-    sc.expect(")")
-    return value
+def _parse_tate_body(sc: _Scanner, p: int):
+    return _parse_sum(sc, lambda sc: _parse_tate_term(sc, p), _parse_norm_value)
 
 
 def parse_tate(text: str, p: int, n: int | None = None) -> TateElem:
-    sc = _Scanner(text)
-    raw_terms = []
-    slack = None
-    if sc.peek() == "O":
-        slack = _parse_tate_slack(sc)
-    else:
-        raw_terms.append(_parse_tate_term(sc, p))
-        while sc.try_consume("+"):
-            if sc.peek() == "O":
-                slack = _parse_tate_slack(sc)
-                break
-            raw_terms.append(_parse_tate_term(sc, p))
-    sc.expect_end()
+    raw_terms, slack = _parse_whole(text, lambda sc: _parse_tate_body(sc, p))
     max_index = max(
         (max(exps) for _, exps in raw_terms if exps),
         default=0,
@@ -376,14 +337,8 @@ def parse_tate(text: str, p: int, n: int | None = None) -> TateElem:
 def format_tate(f: TateElem) -> str:
     parts = []
     for index, coeff in sorted(f.terms, key=lambda kv: kv[0], reverse=True):
-        if isinstance(coeff, LaurentSeries):
-            inner = format_laurent(coeff)
-            is_one = coeff.terms == ((Fraction(0), 1),) and coeff.cutoff is None
-        else:
-            inner = format_hahn(coeff)
-            is_one = (
-                coeff.terms == ((ExponentVector.zero(), 1),) and coeff.cutoff is None
-            )
+        inner = str(coeff)
+        is_one = coeff == coeff.one(coeff.p)
         factors = []
         for i, power in enumerate(index, start=1):
             if power == 0:

@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 
 from .errors import BackendMismatch, DomainError, PrecisionError
-from .field import LaurentSeries, NormValue
-from .tate import TateElem, euclid_degree, explicit_max_norm
+from .field import LaurentSeries, NormValue, _denominator_level
+from .tate import TateElem, euclid_degree, explicit_max_norm, gauss_norm
 
 # Extra rounds past the predicted convergence point before giving up.
 _EXTRA_ROUNDS = 8
@@ -88,7 +88,7 @@ def divide(
 
     tau = target_slack.exponent
     order = euclid_degree(g)
-    gauss_exp = _dominant_exponent(g)
+    gauss_exp = gauss_norm(g).exponent
     scale = None
     gh = {idx[0]: c for idx, c in g.terms}
     if gauss_exp != 0:
@@ -97,15 +97,18 @@ def divide(
     head = {d: c for d, c in gh.items() if d <= order}
     tail = {d: c for d, c in gh.items() if d > order}
 
-    f_val = _dominant_exponent(f)
+    f_val = gauss_norm(f).exponent
     floor_exp = min(Fraction(0), f_val)
     kappa = max(Fraction(1), tau - floor_exp + 2)
+    if _denominator_level(kappa.denominator, p) is None:
+        # The inverse's cutoff must lie in the (1/p^e)Z lattice; a higher
+        # working precision is as sound, and an integer lies in it.
+        kappa = Fraction(math.ceil(kappa))
     inv_dominant = head[order].inverse(kappa).explicit_part()
 
     contraction = kappa
     if tail:
-        tail_exp = min(_exact_valuation(c) for c in tail.values())
-        contraction = min(contraction, tail_exp)
+        contraction = min(contraction, explicit_max_norm(tail.values()).exponent)
     cap = math.ceil((tau - floor_exp) / contraction) + _EXTRA_ROUNDS
 
     q: dict[int, LaurentSeries] = {}
@@ -143,21 +146,6 @@ def divide(
     q_elem = TateElem.make(1, p, {(d,): c for d, c in q.items()})
     r_elem = TateElem.make(1, p, {(d,): c for d, c in r.items()}, residue_norm)
     return q_elem, r_elem
-
-
-def _exact_valuation(c: LaurentSeries) -> Fraction:
-    val = c.valuation()
-    if not val.is_exact:
-        raise DomainError("coefficient valuation must be exact")
-    return val.value
-
-
-def _dominant_exponent(f: TateElem) -> Fraction:
-    best = None
-    for _, c in f.terms:
-        v = _exact_valuation(c)
-        best = v if best is None else min(best, v)
-    return best
 
 
 def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:

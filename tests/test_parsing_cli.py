@@ -19,6 +19,7 @@ from tatekit.parsing import (
     parse_tate,
 )
 from tatekit.selftest import sample_hahn, sample_laurent, sample_tate
+from tatekit.tate import TateElem, euclid_degree, gauss_norm
 
 
 def run_cli(argv):
@@ -251,3 +252,175 @@ class TestCli:
             ["split", "--f", "X^2 + [t]X + [t^2]", "--p", "2"]
         )
         assert code == 0 and out == "result = X + [t]\n"
+
+
+class TestFieldGrammar:
+    """Both field dialects run through one sum grammar and one printer."""
+
+    @pytest.mark.parametrize(
+        "text,p,printed",
+        [
+            ("O(t^0)", 5, "O(t^0)"),
+            ("O(t)", 5, "O(t)"),
+            ("O(t^1)", 5, "O(t)"),
+            ("O(t^-1/2)", 2, "O(t^-1/2)"),
+            ("3 + O(t^0)", 5, "O(t^0)"),
+            ("2t^3 + O(t^4)", 5, "2*t^3 + O(t^4)"),
+        ],
+    )
+    def test_laurent_balls_round_trip(self, text, p, printed):
+        x = parse_laurent(text, p)
+        assert format_laurent(x) == printed
+        assert parse_laurent(printed, p) == x
+
+    @pytest.mark.parametrize(
+        "text,printed",
+        [
+            ("O(t^[])", "O(t^[])"),
+            ("O(t^[1:1])", "O(t^[1:1])"),
+            ("2t^[1:1]", "2*t^[1:1]"),
+            ("2 * t^[1:1] + O(t^[2:3])", "2*t^[1:1] + O(t^[2:3])"),
+            ("1 + O(t^[])", "O(t^[])"),
+        ],
+    )
+    def test_hahn_balls_round_trip(self, text, printed):
+        x = parse_hahn(text, 3)
+        assert format_hahn(x) == printed
+        assert parse_hahn(printed, 3) == x
+
+    @pytest.mark.parametrize(
+        "parse,text,column,message",
+        [
+            (parse_laurent, "t^", 3, "expected a rational number"),
+            (parse_laurent, "O(", 3, "expected 't' inside O(...)"),
+            (parse_laurent, "O(x)", 3, "expected 't' inside O(...)"),
+            (parse_laurent, "O(t^)", 5, "expected a rational number"),
+            (parse_laurent, "O(t", 4, "expected ')'"),
+            (parse_laurent, "O(t^[1:1])", 5, "expected a rational number"),
+            (parse_laurent, "1 + O(t^2) + t", 12, "unexpected trailing input"),
+            (parse_laurent, "2*x", 3, "expected 't' after '*'"),
+            (parse_laurent, "+", 1, "expected a term"),
+            (parse_laurent, "1 +", 4, "expected a term"),
+            (parse_laurent, "O(t^1/0)", 8, "zero denominator"),
+            (parse_hahn, "O(", 3, "expected 't' inside O(...)"),
+            (parse_hahn, "O(x)", 3, "expected 't' inside O(...)"),
+            (parse_hahn, "O(t)", 4, "expected '^'"),
+            (parse_hahn, "O(t^[1:1]", 10, "expected ')'"),
+            (parse_hahn, "t", 2, "expected '^'"),
+            (parse_hahn, "2*[1:1]", 3, "expected 't' after '*'"),
+            (parse_hahn, "t^[1:1", 7, "expected ']'"),
+            (parse_hahn, "O(t^[1 1])", 8, "expected ':'"),
+            (parse_hahn, "t^[0:1]", 4, "generator indices are 1-based"),
+            (parse_hahn, "t^[1:1] + O(t^[ 0:1])", 17, "generator indices are 1-based"),
+            (parse_hahn, "1 +", 4, "expected a term"),
+            (parse_hahn, "t^[1:1] t", 9, "unexpected trailing input"),
+        ],
+    )
+    def test_malformed_literal(self, parse, text, column, message):
+        with pytest.raises(ParseError) as info:
+            parse(text, 5)
+        assert (info.value.column, info.value.message) == (column, message)
+
+    def test_variable_index_error_points_at_the_index(self):
+        with pytest.raises(ParseError) as info:
+            parse_tate("X1 + X 0", 3)
+        assert info.value.column == 8
+        assert info.value.message == "variable indices are 1-based"
+
+
+def test_public_names_resolve():
+    import tatekit
+
+    for name in tatekit.__all__:
+        assert getattr(tatekit, name) is not None, name
+    assert "Valuation" not in tatekit.__all__
+
+
+@pytest.fixture
+def norm_table(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("i,j,v\n0,0,0\n0,1,5\n1,0,-1\n1,1,5\n")
+    return str(table)
+
+
+class TestCliArgumentErrors:
+    """Malformed or missing arguments exit 1 with a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gabber", "reps", "--count", "0"],
+            ["gabber", "witness", "--N", "0"],
+            ["gabber", "distance", "--N", "-2", "--g", "0"],
+            ["certify", "--f", "X", "--log-radii", "abc", "--log-bound", "0"],
+            ["certify", "--f", "X", "--log-radii", "0", "--log-bound", "abc"],
+            ["certify", "--f", "X", "--log-radii", "1/0", "--log-bound", "0"],
+            ["selftest", "--trials", "-1"],
+            ["selftest", "--trials", "0"],
+        ],
+    )
+    def test_bad_argument_value(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --")
+
+    def test_bad_floors(self, norm_table):
+        code, out, err = run_cli(
+            ["diag-select", "--table", norm_table, "--floors", "abc", "--count", "1"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --floors: ")
+
+    def test_missing_table(self, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run_cli(
+            ["diag-select", "--table", missing, "--floors", "0", "--count", "1"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --table: cannot read ")
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("0,0,abc\n", "error: norm table line 2 is not i,j,v\n"),
+            ("0,0\n", "error: norm table line 2 is not i,j,v\n"),
+            ("0,0,1/0\n", "error: norm table line 2 is not i,j,v\n"),
+            ("", "error: norm table has no entries\n"),
+        ],
+    )
+    def test_malformed_table(self, tmp_path, rows, message):
+        table = tmp_path / "table.csv"
+        table.write_text("i,j,v\n" + rows)
+        code, out, err = run_cli(
+            ["diag-select", "--table", str(table), "--floors", "0", "--count", "1"]
+        )
+        assert (code, out, err) == (2, "", message)
+
+    def test_zero_generator_index(self):
+        code, out, err = run_cli(
+            ["gabber", "distance", "--N", "3", "--g", "t^[0:1]"]
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "syntax error: generator indices are 1-based at line 1, column 4\n"
+        )
+
+    def test_gabber_needs_a_prime(self):
+        assert run_cli(["norm", "--p", "4", "--f", "X"])[0] == 2
+        code, out, err = run_cli(["gabber", "reps", "--p", "4", "--count", "2"])
+        assert code == 2 and out == ""
+        assert err == "error: characteristic 4 is not prime\n"
+
+    def test_divide_with_slack_off_the_lattice(self):
+        code, out, err = run_cli(
+            ["divide", "--f", "X^2", "--g", "[1 + t]X + [t]", "--slack", "e^-1/3",
+             "--p", "2", "--format", "records"]
+        )
+        assert code == 0, err
+        records = dict(line.split("=", 1) for line in out.splitlines())
+        q, r = parse_tate(records["q"], 2, 1), parse_tate(records["r"], 2, 1)
+        f, g = parse_tate("X^2", 2, 1), parse_tate("[1 + t]X + [t]", 2, 1)
+        residual = f - (q * g + r)
+        res_norm = gauss_norm(TateElem.make(1, 2, dict(residual.terms)))
+        assert res_norm.is_zero or res_norm.compare(parse_norm_value("e^-1/3")) <= 0
+        assert all(idx[0] < euclid_degree(g) for idx, _ in r.terms)

@@ -120,6 +120,21 @@ class TestDivideExamples:
         assert not r.terms and r.slack is None
         assert q * g == f
 
+    @pytest.mark.parametrize(
+        "p,slack", [(2, Fraction(1, 3)), (3, Fraction(5, 2)), (5, Fraction(7, 4))]
+    )
+    def test_slack_off_the_lattice(self, p, slack):
+        # The working precision tau - floor + 2 is off the (1/p^e)Z lattice
+        # here, and the dominant coefficient 1 + t needs a truncated inverse.
+        target = NormValue.finite(slack)
+        f = TateElem.monomial(1, (2,), one(p))
+        g = TateElem.make(1, p, {(1,): one(p) + t(p), (0,): t(p)})
+        q, r = divide(f, g, target)
+        residual = f - (q * g + r)
+        res_norm = gauss_norm(TateElem.make(1, p, dict(residual.terms)))
+        assert res_norm.is_zero or res_norm.compare(target) <= 0
+        assert r.terms and max(idx[0] for idx, _ in r.terms) < euclid_degree(g)
+
 
 class TestDivideProperties:
     def test_identity_degree_and_oracle(self):
