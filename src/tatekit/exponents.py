@@ -54,11 +54,25 @@ def nth_prime(i: int) -> int:
     if i < 1:
         raise ValueError("generator indices are 1-based")
     while len(_PRIMES) < i:
-        c = _PRIMES[-1] + 2
-        while not _is_prime(c):
-            c += 2
-        _PRIMES.append(c)
+        _extend_primes()
     return _PRIMES[i - 1]
+
+
+def _extend_primes() -> None:
+    """Append the primes in [n, 2n), n = the last stored prime + 1.
+
+    Bertrand's postulate puts a prime in the segment, and every prime up
+    to sqrt(2n) < n is already stored, so sieving the segment by the
+    stored primes leaves exactly its primes.
+    """
+    n = _PRIMES[-1] + 1
+    sieve = bytearray([1]) * n  # sieve[k] stands for n + k
+    for q in _PRIMES:
+        if q * q >= 2 * n:
+            break
+        first = -n % q
+        sieve[first::q] = bytes(len(range(first, n, q)))
+    _PRIMES.extend(itertools.compress(range(n, 2 * n), sieve))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,15 @@ result is renormalised to its smallest level, so equal values have
 equal representations.  ``terms`` and ``cutoff`` are read-only
 Fraction views, built when read.
 
+Both backends run on one ring kernel: module-level functions over any
+exponent type with ``+``, ``<`` and hashing (lattice ints for
+``LaurentSeries``, ``ExponentVector`` for ``HahnSum``) that hold the
+sum, the product, the product's ball, the canonical form and the
+residue, each once.  The base class ``_Series`` holds the constructors,
+the backend check, negation and subtraction.  What stays per backend is
+how an element is stored, how its exponents are aligned (the lattice
+level), ``frobenius``, ``pth_root`` and ``inverse``.
+
 Norms are written multiplicatively as e^(-v); ``NormValue`` is the one
 record of both norm and valuation for both backends.  It carries the
 exponent v, a Fraction for the Laurent backend and an ``ExponentVector``
@@ -146,15 +155,6 @@ def norm_max(a: NormValue, b: NormValue) -> NormValue:
     return a if a.compare(b) >= 0 else b
 
 
-def _min_optional(a, b):
-    # None plays the role of +infinity.
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
-
-
 def _lattice_level(exponent: Fraction, p: int) -> int:
     """The e with exponent's denominator equal to p^e; at level e the
     exponent is the integer exponent.numerator."""
@@ -175,7 +175,109 @@ def _denominator_level(den: int, p: int) -> int | None:
     return level if den == 1 else None
 
 
-class LaurentSeries:
+def _sum(a, cut_a, b, cut_b):
+    """(exponent -> unreduced coefficient, cutoff) of the sum of two
+    series given as (exponent, coefficient) pairs and a cutoff or None;
+    the smaller cutoff wins."""
+    data = dict(a)
+    get = data.get
+    for e, c in b:
+        data[e] = get(e, 0) + c
+    if cut_a is None or (cut_b is not None and cut_b < cut_a):
+        cut_a = cut_b
+    return data, cut_a
+
+
+def _product(a, b) -> dict:
+    """Exponent -> unreduced coefficient of the product of explicit parts."""
+    data = {}
+    get = data.get
+    right = list(b)
+    for e1, c1 in a:
+        for e2, c2 in right:
+            k = e1 + e2
+            data[k] = get(k, 0) + c1 * c2
+    return data
+
+
+def _product_cut(v_a, cut_a, v_b, cut_b):
+    """The product's cutoff min(v*(x) + cut(y), v*(y) + cut(x)) over the
+    sides with a ball, where v* is the least explicit exponent, else the
+    cutoff (explicit exponents sit below the cutoff)."""
+    cut = None if cut_b is None else v_a + cut_b
+    if cut_a is not None:
+        other = v_b + cut_a
+        if cut is None or other < cut:
+            cut = other
+    return cut
+
+
+def _canonical_terms(p: int, data: dict, cut):
+    """Increasing exponents and their coefficients in 1..p-1 from
+    exponent -> unreduced coefficient, without the exponents at or past
+    the cutoff.  Coefficients 0 mod p go before sorting: a comparison of
+    Hahn exponents may refine interval enclosures."""
+    exps = sorted([e for e, c in data.items() if c % p])
+    if cut is not None:
+        del exps[bisect_left(exps, cut):]
+    return exps, [data[e] % p for e in exps]
+
+
+def _residue(exps, coeffs, cut, zero) -> int:
+    """Image in F_p of an element of the unit ball, from its canonical
+    terms; zero is the exponent 0."""
+    if exps:
+        if exps[0] < zero:
+            raise DomainError("norm-exceeds-one: element has negative valuation")
+        return coeffs[0] if exps[0] == zero else 0
+    if cut is not None and cut <= zero:
+        raise PrecisionError("residue is undetermined: ball reaches the unit sphere")
+    return 0
+
+
+class _Series:
+    """What the two backends share beyond the kernel.  A subclass names
+    its ``_zero_exponent`` (what ``make`` reads as t^0) and the ``_kind``
+    of its elements."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, p: int):
+        return cls.make(p, {})
+
+    @classmethod
+    def one(cls, p: int):
+        return cls.constant(p, 1)
+
+    @classmethod
+    def constant(cls, p: int, c: int):
+        return cls.make(p, {cls._zero_exponent: c})
+
+    @classmethod
+    def t_power(cls, p: int, exponent, coeff: int = 1):
+        return cls.make(p, {exponent: coeff})
+
+    @classmethod
+    def ball(cls, p: int, cutoff):
+        return cls.make(p, {}, cutoff)
+
+    def _check_compatible(self, other) -> None:
+        if not isinstance(other, type(self)):
+            raise BackendMismatch(
+                f"cannot combine {self._kind} with {type(other).__name__}"
+            )
+        if self.p != other.p:
+            raise BackendMismatch("characteristics differ")
+
+    def __neg__(self):
+        return self.scalar_mul(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class LaurentSeries(_Series):
     """Laurent series over F_p with exponents in (1/p^L)Z plus a ball.
 
     The constructor takes the canonical lattice form as stored (see the
@@ -184,6 +286,8 @@ class LaurentSeries:
     """
 
     __slots__ = ("p", "level", "_exps", "_coeffs", "_cut", "_terms", "_norm")
+    _zero_exponent = 0
+    _kind = "Laurent series"
 
     def __init__(self, p: int, level: int, exps: tuple, coeffs: tuple, cut=None):
         _set_p(self, p)
@@ -257,26 +361,6 @@ class LaurentSeries:
             cut = cutoff.numerator * (scale // cutoff.denominator)
         return _canonical(p, level, data, cut)
 
-    @classmethod
-    def zero(cls, p: int) -> LaurentSeries:
-        return _zero(p)
-
-    @classmethod
-    def one(cls, p: int) -> LaurentSeries:
-        return _one(p)
-
-    @classmethod
-    def constant(cls, p: int, c: int) -> LaurentSeries:
-        return cls.make(p, {Fraction(0): c})
-
-    @classmethod
-    def t_power(cls, p: int, exponent, coeff: int = 1) -> LaurentSeries:
-        return cls.make(p, {Fraction(exponent): coeff})
-
-    @classmethod
-    def ball(cls, p: int, cutoff) -> LaurentSeries:
-        return cls.make(p, {}, cutoff=cutoff)
-
     @property
     def terms(self) -> tuple[tuple[Fraction, int], ...]:
         """(exponent, coefficient) pairs in increasing exponent order."""
@@ -314,15 +398,6 @@ class LaurentSeries:
             return self._coeffs[i]
         return 0
 
-    def _check_compatible(self, other) -> LaurentSeries:
-        if not isinstance(other, LaurentSeries):
-            raise BackendMismatch(
-                f"cannot combine Laurent series with {type(other).__name__}"
-            )
-        if self.p != other.p:
-            raise BackendMismatch("characteristics differ")
-        return other
-
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
         self._check_compatible(other)
         if other.is_zero:
@@ -330,48 +405,20 @@ class LaurentSeries:
         if self.is_zero:
             return other
         level, ea, cut_a, eb, cut_b = _align(self, other)
-        data = dict(zip(ea, self._coeffs))
-        get = data.get
-        for e, c in zip(eb, other._coeffs):
-            data[e] = get(e, 0) + c
-        if cut_a is None or (cut_b is not None and cut_b < cut_a):
-            cut_a = cut_b
-        return _canonical(self.p, level, data, cut_a)
-
-    def __neg__(self) -> LaurentSeries:
-        p = self.p
-        return LaurentSeries(
-            p, self.level, self._exps, tuple([p - c for c in self._coeffs]), self._cut
+        data, cut = _sum(
+            zip(ea, self._coeffs), cut_a, zip(eb, other._coeffs), cut_b
         )
-
-    def __sub__(self, other: LaurentSeries) -> LaurentSeries:
-        return self + (-other)
-
-    def _vstar(self) -> int | None:
-        """Lattice integer of the least explicit exponent, else of the
-        cutoff (explicit exponents sit below the cutoff); None for 0."""
-        return self._exps[0] if self._exps else self._cut
+        return _canonical(self.p, level, data, cut)
 
     def __mul__(self, other: LaurentSeries) -> LaurentSeries:
         self._check_compatible(other)
         if self.is_zero or other.is_zero:
             return _zero(self.p)
         level, ea, cut_a, eb, cut_b = _align(self, other)
-        # min(v*(x) + cut(y), v*(y) + cut(x)) over the sides with a ball.
-        cut = None
-        if cut_b is not None:
-            cut = (ea[0] if ea else cut_a) + cut_b
-        if cut_a is not None:
-            other_cut = (eb[0] if eb else cut_b) + cut_a
-            if cut is None or other_cut < cut:
-                cut = other_cut
-        data: dict[int, int] = {}
-        get = data.get
-        right = list(zip(eb, other._coeffs))
-        for e1, c1 in zip(ea, self._coeffs):
-            for e2, c2 in right:
-                k = e1 + e2
-                data[k] = get(k, 0) + c1 * c2
+        cut = _product_cut(
+            ea[0] if ea else cut_a, cut_a, eb[0] if eb else cut_b, cut_b
+        )
+        data = _product(zip(ea, self._coeffs), zip(eb, other._coeffs))
         return _canonical(self.p, level, data, cut)
 
     def scalar_mul(self, k: int) -> LaurentSeries:
@@ -460,15 +507,7 @@ class LaurentSeries:
 
     def residue(self) -> int:
         """Image in F_p of an element of the unit ball."""
-        if self._exps:
-            if self._exps[0] < 0:
-                raise DomainError("norm-exceeds-one: element has negative valuation")
-            return self._coeffs[0] if self._exps[0] == 0 else 0
-        if self._cut is not None and self._cut <= 0:
-            raise PrecisionError(
-                "residue is undetermined: ball reaches the unit sphere"
-            )
-        return 0
+        return _residue(self._exps, self._coeffs, self._cut, 0)
 
     def inverse(self, target_cutoff) -> LaurentSeries:
         """y with x*y = 1 + O(t^target), by a truncated geometric series.
@@ -488,7 +527,7 @@ class LaurentSeries:
         u = self * lead_inv - _one(p)
         if u.is_zero:
             return lead_inv
-        drop = u._vstar()
+        drop = u._exps[0] if u._exps else u._cut
         if drop <= 0:
             raise DomainError("inverse: tail does not contract (internal error)")
         # ceil(tau / drop) with drop = drop_int / p^level(u).
@@ -535,14 +574,9 @@ _set_terms = LaurentSeries._terms.__set__
 _set_norm = LaurentSeries._norm.__set__
 
 
-@lru_cache(maxsize=None)
-def _zero(p: int) -> LaurentSeries:
-    return LaurentSeries(_require_prime(p), 0, (), ())
-
-
-@lru_cache(maxsize=None)
-def _one(p: int) -> LaurentSeries:
-    return LaurentSeries(_require_prime(p), 0, (0,), (1,))
+# The ring operations return these often.
+_zero = lru_cache(maxsize=None)(LaurentSeries.zero)
+_one = lru_cache(maxsize=None)(LaurentSeries.one)
 
 
 def _align(a: LaurentSeries, b: LaurentSeries):
@@ -560,15 +594,8 @@ def _align(a: LaurentSeries, b: LaurentSeries):
 
 
 def _canonical(p: int, level: int, data: dict, cut) -> LaurentSeries:
-    """Series from lattice integers -> unreduced coefficients at a level:
-    drops coefficients 0 mod p and exponents at or past the cutoff."""
-    exps = sorted(data)
-    if cut is not None and exps and exps[-1] >= cut:
-        del exps[bisect_left(exps, cut):]
-    coeffs = [data[e] % p for e in exps]
-    if 0 in coeffs:
-        exps = list(compress(exps, coeffs))
-        coeffs = [c for c in coeffs if c]
+    """Series from lattice integers -> unreduced coefficients at a level."""
+    exps, coeffs = _canonical_terms(p, data, cut)
     return _reduced(p, level, tuple(exps), tuple(coeffs), cut)
 
 
@@ -584,12 +611,14 @@ def _reduced(p: int, level: int, exps: tuple, coeffs: tuple, cut) -> LaurentSeri
 
 
 @dataclass(frozen=True)
-class HahnSum:
+class HahnSum(_Series):
     """Finite sum over the square-root exponent group with F_p coefficients."""
 
     p: int
     terms: tuple[tuple[ExponentVector, int], ...]
     cutoff: ExponentVector | None = None
+    _zero_exponent = ExponentVector.zero()
+    _kind = "Hahn sums"
 
     @classmethod
     def make(cls, p: int, coeffs, cutoff: ExponentVector | None = None) -> HahnSum:
@@ -597,29 +626,8 @@ class HahnSum:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         data: dict[ExponentVector, int] = {}
         for exponent, coeff in items:
-            data[exponent] = (data.get(exponent, 0) + int(coeff)) % p
-        kept = {
-            e: c
-            for e, c in data.items()
-            if c and (cutoff is None or e < cutoff)
-        }
-        return cls(p, tuple(sorted(kept.items(), key=lambda item: item[0])), cutoff)
-
-    @classmethod
-    def zero(cls, p: int) -> HahnSum:
-        return cls.make(p, {})
-
-    @classmethod
-    def one(cls, p: int) -> HahnSum:
-        return cls.make(p, {ExponentVector.zero(): 1})
-
-    @classmethod
-    def constant(cls, p: int, c: int) -> HahnSum:
-        return cls.make(p, {ExponentVector.zero(): c})
-
-    @classmethod
-    def t_power(cls, p: int, exponent: ExponentVector, coeff: int = 1) -> HahnSum:
-        return cls.make(p, {exponent: coeff})
+            data[exponent] = data.get(exponent, 0) + int(coeff)
+        return _hahn(p, data, cutoff)
 
     @property
     def is_zero(self) -> bool:
@@ -634,50 +642,22 @@ class HahnSum:
     def support(self) -> tuple[ExponentVector, ...]:
         return tuple(e for e, _ in self.terms)
 
-    def _check_compatible(self, other) -> HahnSum:
-        if not isinstance(other, HahnSum):
-            raise BackendMismatch(
-                f"cannot combine Hahn sums with {type(other).__name__}"
-            )
-        if self.p != other.p:
-            raise BackendMismatch("characteristics differ")
-        return other
-
     def __add__(self, other: HahnSum) -> HahnSum:
         self._check_compatible(other)
-        data = dict(self.terms)
-        for e, c in other.terms:
-            data[e] = data.get(e, 0) + c
-        return HahnSum.make(self.p, data, _min_optional(self.cutoff, other.cutoff))
-
-    def __neg__(self) -> HahnSum:
-        return HahnSum(
-            self.p, tuple((e, self.p - c) for e, c in self.terms), self.cutoff
-        )
-
-    def __sub__(self, other: HahnSum) -> HahnSum:
-        return self + (-other)
-
-    def _vstar(self):
-        if self.terms:
-            return _min_optional(self.terms[0][0], self.cutoff)
-        return self.cutoff
+        return _hahn(self.p, *_sum(self.terms, self.cutoff, other.terms, other.cutoff))
 
     def __mul__(self, other: HahnSum) -> HahnSum:
         self._check_compatible(other)
         if self.is_zero or other.is_zero:
             return HahnSum.zero(self.p)
-        cutoff = None
-        if other.cutoff is not None and self._vstar() is not None:
-            cutoff = _min_optional(cutoff, self._vstar() + other.cutoff)
-        if self.cutoff is not None and other._vstar() is not None:
-            cutoff = _min_optional(cutoff, other._vstar() + self.cutoff)
-        data: dict[ExponentVector, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                data[e] = data.get(e, 0) + c1 * c2
-        return HahnSum.make(self.p, data, cutoff)
+        a, b = self.terms, other.terms
+        cut = _product_cut(
+            a[0][0] if a else self.cutoff,
+            self.cutoff,
+            b[0][0] if b else other.cutoff,
+            other.cutoff,
+        )
+        return _hahn(self.p, _product(a, b), cut)
 
     def scalar_mul(self, k: int) -> HahnSum:
         k %= self.p
@@ -720,21 +700,17 @@ class HahnSum:
         return NormValue.zero()
 
     def residue(self) -> int:
-        norm = self.norm()
-        if norm.is_zero:
-            return 0
-        zero_vec = ExponentVector.zero()
-        if norm.is_finite:
-            if norm.exponent < zero_vec:
-                raise DomainError("norm-exceeds-one: element has negative valuation")
-            return self.coefficient(zero_vec)
-        if not (zero_vec < norm.exponent):
-            raise PrecisionError(
-                "residue is undetermined: ball reaches the unit sphere"
-            )
-        return 0
+        first = self.terms[:1]
+        exps, coeffs = [e for e, _ in first], [c for _, c in first]
+        return _residue(exps, coeffs, self.cutoff, self._zero_exponent)
 
     def __str__(self) -> str:
         from .parsing import format_hahn
 
         return format_hahn(self)
+
+
+def _hahn(p: int, data: dict, cut) -> HahnSum:
+    """Hahn sum from exponent -> unreduced coefficient and a cutoff."""
+    exps, coeffs = _canonical_terms(p, data, cut)
+    return HahnSum(p, tuple(zip(exps, coeffs)), cut)

@@ -106,10 +106,6 @@ class TateElem:
         """Exactly zero: empty explicit part and no slack."""
         return not self.terms and self.slack is None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.slack is None
-
     def coefficient(self, index: MultiIndex):
         index = tuple(index)
         for idx, c in self.terms:

@@ -1,8 +1,12 @@
+import io
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import decimal_value_bounds
+from tatekit import exponents
+from tatekit.cli import main
 from tatekit.errors import SearchExhausted
 from tatekit.exponents import (
     CosetSignature,
@@ -174,3 +178,33 @@ def test_rep_shift_search_exhaustion_surfaces():
 
 def test_nth_prime_sequence():
     assert [nth_prime(i) for i in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.fixture
+def fresh_primes(monkeypatch):
+    """The prime table as a new process starts it, restored afterwards."""
+    monkeypatch.setattr(exponents, "_PRIMES", exponents._PRIMES[:10])
+
+
+def test_nth_prime_far_index(fresh_primes):
+    assert nth_prime(100000) == 1299709
+
+
+def test_nth_prime_matches_trial_division(fresh_primes):
+    reference = [
+        c for c in range(2, 50000) if all(c % d for d in range(2, int(c**0.5) + 1))
+    ]
+    assert [nth_prime(i) for i in range(1, len(reference) + 1)] == reference
+    assert nth_prime(len(reference) + 1) > 50000
+
+
+def test_large_generator_index_in_cli(fresh_primes):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = main(["gabber", "distance", "--N", "2", "--g", "t^[100000:1]"], out, err)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err.getvalue() == ""
+    assert out.getvalue() == (
+        "i_g = 1\nbound_exp = [1:-1]\nactual_exp = [1:-1]\npass = true\n"
+    )
+    assert elapsed < 2.0

@@ -464,3 +464,65 @@ class TestCanonicalForm:
             assert other == t
             assert hash(other) == hash(t)
         assert t != root and t != LaurentSeries.ball(p, 2) + t
+
+
+def t_vec(c):
+    """The Hahn exponent [1:c], the image of the Laurent exponent c."""
+    return ExponentVector.unit(1, int(c))
+
+
+def hahn_sum(p, terms, cutoff):
+    """HahnSum.make with the exponents and cutoff mapped by t_vec."""
+    cut = None if cutoff is None else t_vec(cutoff)
+    return HahnSum.make(p, [(t_vec(e), c) for e, c in terms], cut)
+
+
+def hahn_image(x):
+    """The image of a Laurent series with integer exponents under
+    t^c -> t^[1:c], which keeps sums and order since 1/sqrt(2) > 0."""
+    return hahn_sum(x.p, x.terms, x.cutoff)
+
+
+def norm_image(n):
+    return n if n.is_zero else NormValue(n.kind, t_vec(n.exponent))
+
+
+def outcome(op, *args):
+    """('ok', value) or ('error', exception type)."""
+    try:
+        return "ok", op(*args)
+    except Exception as error:  # the type is the outcome
+        return "error", type(error)
+
+
+class TestBackendsAgree:
+    """One kernel serves both backends alike: t^c -> t^[1:c] commutes with
+    every operation both backends have."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_integer_exponent_series_map_to_hahn_sums(self, rng, p):
+        for _ in range(300):
+            raws = []
+            for _ in range(2):
+                n = rng.randint(0, 5)
+                raw = [(rng.randint(-6, 6), rng.randint(0, p)) for _ in range(n)]
+                cut = rng.randint(-3, 8) if rng.random() < 0.5 else None
+                raws.append((raw, cut))
+            (a, b) = xs = [LaurentSeries.make(p, raw, cut) for raw, cut in raws]
+            (ha, hb) = hs = [hahn_sum(p, raw, cut) for raw, cut in raws]
+            assert hs == [hahn_image(x) for x in xs]
+            k = rng.randint(-p, 2 * p)
+            for op in [
+                lambda u, v: u + v,
+                lambda u, v: u - v,
+                lambda u, v: u * v,
+                lambda u, v: -u,
+                lambda u, v: u.scalar_mul(k),
+                lambda u, v: u.frobenius(),
+            ]:
+                kind, value = outcome(op, a, b)
+                expected = (kind, hahn_image(value) if kind == "ok" else value)
+                assert outcome(op, ha, hb) == expected
+            for x, h in zip(xs, hs):
+                assert h.norm() == norm_image(x.norm())
+                assert outcome(h.residue) == outcome(x.residue)
