@@ -52,14 +52,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(least: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_nonnegative_int = _int_from(0, "nonnegative")
 
 
 def _rational(text: str) -> Fraction:
@@ -103,12 +110,12 @@ def _build_parser() -> _Parser:
     p_norm = sub.add_parser("norm", description="Gauss norm of a series")
     common(p_norm)
     p_norm.add_argument("--f", required=True)
-    p_norm.add_argument("--n", type=int, default=None)
+    p_norm.add_argument("--n", type=_nonnegative_int, default=None)
 
     p_unit = sub.add_parser("unit", description="unit test for a series")
     common(p_unit)
     p_unit.add_argument("--f", required=True)
-    p_unit.add_argument("--n", type=int, default=None)
+    p_unit.add_argument("--n", type=_nonnegative_int, default=None)
 
     p_degree = sub.add_parser("degree", description="Euclidean degree in one variable")
     common(p_degree)
@@ -123,7 +130,7 @@ def _build_parser() -> _Parser:
     p_dist = sub.add_parser("distinguish", description="distinguished order report")
     common(p_dist)
     p_dist.add_argument("--f", required=True)
-    p_dist.add_argument("--n", type=int, default=None)
+    p_dist.add_argument("--n", type=_nonnegative_int, default=None)
     p_dist.add_argument("--axis", type=int, default=None)
 
     p_auto = sub.add_parser(
@@ -131,19 +138,19 @@ def _build_parser() -> _Parser:
     )
     common(p_auto)
     p_auto.add_argument("--f", action="append", required=True)
-    p_auto.add_argument("--n", type=int, default=None)
+    p_auto.add_argument("--n", type=_nonnegative_int, default=None)
 
     p_split = sub.add_parser("split", description="apply the splitting lift")
     common(p_split)
     p_split.add_argument("--f", required=True)
-    p_split.add_argument("--n", type=int, default=None)
+    p_split.add_argument("--n", type=_nonnegative_int, default=None)
 
     p_cert = sub.add_parser(
         "certify", description="certified splitting lift for convergent series"
     )
     common(p_cert)
     p_cert.add_argument("--f", required=True)
-    p_cert.add_argument("--n", type=int, default=None)
+    p_cert.add_argument("--n", type=_nonnegative_int, default=None)
     p_cert.add_argument(
         "--log-radii", required=True, dest="log_radii", type=_rationals
     )

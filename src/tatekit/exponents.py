@@ -6,8 +6,9 @@ index).  Clearing denominators turns any integer combination into a sum
 of square roots of distinct squarefree integers, and such sums vanish
 only trivially; two combinations are therefore equal as real numbers
 exactly when their coordinate vectors coincide.  Every nonzero
-combination can be bounded away from zero, so ordering is decidable by
-refining certified rational enclosures until they separate.
+combination is irrational, and a norm argument bounds its distance to
+any rational (see _sign), so ordering is decidable by integer fixed-point
+enclosures refined until they exclude that rational.
 
 The coset structure modulo a prime p (coordinatewise reduction) and a
 bounded search for group elements with all coordinates divisible by p
@@ -20,18 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import isqrt
+from functools import cached_property
+from math import isqrt, prod
 
-from .errors import DomainError, PrecisionError, SearchExhausted
+from .errors import DomainError, SearchExhausted
 
-# Interval refinement halves the width each round; distinct elements
-# separate long before this cap, so hitting it signals an internal bug
-# rather than a hard input.
-REFINEMENT_CAP = 256
-
-# Width of the per-vector cached enclosure used to shortcut comparisons.
-_FAST_WIDTH = Fraction(1, 1 << 80)
+# Precision of the per-vector cached bounds that shortcut comparisons.
+_FAST_BITS = 80
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -100,15 +96,6 @@ class RealInterval:
     def strictly_inside(self, lo: Fraction, hi: Fraction) -> bool:
         """True when the whole interval sits in the open interval (lo, hi)."""
         return lo < self.lo and self.hi < hi
-
-
-@lru_cache(maxsize=None)
-def _sqrt_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
-    # isqrt gives floor(sqrt(n * 4^bits)); sqrt(n) is irrational for the
-    # primes we use, so the enclosure [a, a+1] / 2^bits is always strict.
-    scale = 1 << bits
-    a = isqrt(n * scale * scale)
-    return Fraction(a, scale), Fraction(a + 1, scale)
 
 
 @dataclass(frozen=True)
@@ -195,12 +182,16 @@ class ExponentVector:
         return CosetSignature(p, residues)
 
     @cached_property
-    def _fast_enclosure(self) -> RealInterval:
-        return enclose(self, _FAST_WIDTH)
+    def _fast_bounds(self) -> tuple[int, int]:
+        # lo <= value * 2^_FAST_BITS <= hi; the extra bits cover the
+        # weight sum(|c|/q), so hi - lo <= 3 whatever the coefficients.
+        extra = sum(abs(c) for _, c in self.coords).bit_length()
+        lo, hi, den = _bounds(self, _FAST_BITS + extra)
+        q = den >> _FAST_BITS
+        return lo // q, -(-hi // q)
 
     # Total order by real value.  Equality is coordinate equality; the
-    # cached enclosures decide almost every strict comparison without a
-    # fresh refinement.
+    # cached bounds decide almost every strict comparison, _sign the rest.
     def __lt__(self, other: ExponentVector) -> bool:
         return compare(self, other) < 0
 
@@ -218,13 +209,19 @@ class ExponentVector:
         return f"[{inner}]"
 
 
-def _bits_for(total_weight: Fraction, width: Fraction) -> int:
-    # Smallest b with 2^b * width >= total_weight, via bit length:
-    # floor(q) < 2^(floor(q).bit_length()) and q < floor(q) + 1.
-    quotient = total_weight / width
-    if quotient <= 1:
-        return 0
-    return (quotient.numerator // quotient.denominator).bit_length()
+def _bounds(vec: ExponentVector, bits: int) -> tuple[int, int, int]:
+    """Integers lo <= value * den <= hi, den = 2^bits * Q with Q the
+    product of the vector's primes: c/sqrt(q) = c * (Q/q) * sqrt(q) / Q,
+    and s = isqrt(q * 4^bits) has s < sqrt(q) * 2^bits < s + 1."""
+    primes = [(nth_prime(i), c) for i, c in vec.coords]
+    big_q = prod(q for q, _ in primes)
+    lo = hi = 0
+    for q, c in primes:
+        s = isqrt(q << 2 * bits)
+        t = c * (big_q // q)
+        lo += t * (s if c > 0 else s + 1)
+        hi += t * (s + 1 if c > 0 else s)
+    return lo, hi, big_q << bits
 
 
 def enclose(vec: ExponentVector, width: Fraction) -> RealInterval:
@@ -232,65 +229,60 @@ def enclose(vec: ExponentVector, width: Fraction) -> RealInterval:
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if vec.is_zero:
-        return RealInterval(Fraction(0), Fraction(0))
-    # Term i contributes c/sqrt(q) = (c/q)*sqrt(q); at b bits the term
-    # enclosure has width |c|/(q * 2^b).
-    weight = sum(Fraction(abs(c), nth_prime(i)) for i, c in vec.coords)
-    bits = _bits_for(weight, width)
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for i, c in vec.coords:
-        q = nth_prime(i)
-        slo, shi = _sqrt_bounds(q, bits)
-        if c > 0:
-            lo += Fraction(c, q) * slo
-            hi += Fraction(c, q) * shi
-        else:
-            lo += Fraction(c, q) * shi
-            hi += Fraction(c, q) * slo
-    return RealInterval(lo, hi)
+    # At b bits the enclosure width is weight / 2^b, weight = sum(|c|/q).
+    # With weight / width = num / den, b = 0 if num <= den, else the bit
+    # length of num // den, so that 2^b > num // den, i.e. 2^b > num / den.
+    lo, hi, big_q = _bounds(vec, 0)
+    num, den = (hi - lo) * width.denominator, big_q * width.numerator
+    lo, hi, den = _bounds(vec, (num // den).bit_length() if num > den else 0)
+    return RealInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _sign(vec: ExponentVector, r: Fraction) -> int:
+    """Sign (+1 or -1) of value - r for a nonzero vector: double the
+    precision of _bounds until the enclosure excludes r.
+
+    The loop ends.  Write r = n/d, let q_1..q_k be the vector's primes, Q
+    their product and M = (d * sum|c_i| + |n|) * sqrt(Q).  Then
+    x = (value - r) * d * sqrt(Q) = sum c_i d sqrt(Q/q_i) - n sqrt(Q) is an
+    algebraic integer of Q(sqrt(q_1), ..., sqrt(q_k)), nonzero because
+    square roots of distinct squarefree integers are linearly independent.
+    Its 2^k conjugates flip signs of the roots, so each is at most M in
+    absolute value, and their product is a nonzero integer.  So
+    |value - r| >= 1 / (d sqrt(Q) M^(2^k - 1)), while the enclosure width
+    is at most sum|c_i| / 2^bits, which falls below it.
+    """
+    n, d = Fraction(r).as_integer_ratio()
+    bits = _FAST_BITS
+    while True:
+        lo, hi, den = _bounds(vec, bits)
+        if lo * d > n * den:
+            return 1
+        if hi * d < n * den:
+            return -1
+        bits *= 2
 
 
 def compare(a: ExponentVector, b: ExponentVector) -> int:
     """-1, 0, or +1 by real value; 0 exactly when coordinates coincide."""
     if a.coords == b.coords:
         return 0
-    ia, ib = a._fast_enclosure, b._fast_enclosure
-    if ia.lo > ib.hi:
+    (alo, ahi), (blo, bhi) = a._fast_bounds, b._fast_bounds
+    if alo > bhi:
         return 1
-    if ia.hi < ib.lo:
+    if ahi < blo:
         return -1
-    diff = a - b
-    width = Fraction(1, 2)
-    for _ in range(REFINEMENT_CAP):
-        iv = enclose(diff, width)
-        if iv.lo > 0:
-            return 1
-        if iv.hi < 0:
-            return -1
-        width /= 2
-    raise PrecisionError(
-        "interval refinement cap hit while separating distinct elements"
-    )
+    return _sign(a - b, 0)
 
 
 def certify_in_open_interval(
     vec: ExponentVector, lo: Fraction, hi: Fraction
 ) -> bool:
-    """Decide value in (lo, hi); requires value != lo, hi (true here since
-    nonzero rationals are never group values)."""
+    """Decide value in (lo, hi); a nonzero vector's value is irrational,
+    so it never equals either endpoint."""
     if vec.is_zero:
         return lo < 0 < hi
-    width = Fraction(1, 2)
-    for _ in range(REFINEMENT_CAP):
-        iv = enclose(vec, width)
-        if iv.strictly_inside(lo, hi):
-            return True
-        if iv.lo >= hi or iv.hi <= lo:
-            return False
-        width /= 2
-    raise PrecisionError("interval refinement cap hit at interval boundary")
+    return _sign(vec, lo) > 0 and _sign(vec, hi) < 0
 
 
 def find_p_multiple_near(

@@ -322,11 +322,16 @@ def find_distinguishing_automorphism(gs: list[TateElem]) -> AutomorphismSpec:
     """Search for a shear making every input distinguished in X_n.
 
     Tries the identity-like zero exponent vector first, then the
-    staircase family a_i = 1 + c * (D+1)^(n-i) for c = 0, 1, ... where D
-    is the maximal total degree; every candidate is verified with
-    distinguished_order rather than trusted.  The staircase at c = D+1
-    provably works for finite supports, so the bound 1 + D^n is never
-    hit; the error is kept as a defensive path.
+    staircase a_i = 1 + c * (D+1)^(n-i) for c = 0, 1, where D is the
+    maximal total degree; every candidate is verified with
+    distinguished_order rather than trusted.  Any c >= 1 works: the shear
+    sends X^alpha to X_n^e plus terms of lower X_n-degree, where
+    e = |alpha| + c (D+1) M and M has base-(D+1) digits alpha_1..alpha_{n-1}.
+    As |alpha| <= D < c (D+1), e is injective on the support, so the
+    norm-attaining term with the largest e alone reaches X_n^e at full
+    norm, as a constant coefficient: the largest index attaining the
+    Gauss norm has a unit coefficient.  The error is therefore
+    unreachable and kept as a defensive path.
     """
     if not gs:
         raise DomainError("need at least one series")
@@ -343,12 +348,8 @@ def find_distinguishing_automorphism(gs: list[TateElem]) -> AutomorphismSpec:
         return AutomorphismSpec(())
     degree = max(g.total_degree() for g in gs)
     weights = [(degree + 1) ** (n - 1 - i) for i in range(n - 1)]
-    # Generated lazily: the bound 2 + D^n is far past c = D+1.
-    candidates = itertools.chain(
-        [tuple([0] * (n - 1))],
-        (tuple(1 + c * w for w in weights) for c in range(2 + degree**n)),
-    )
-    for exponents in candidates:
+    candidates = [tuple(1 + c * w for w in weights) for c in range(2)]
+    for exponents in [tuple([0] * (n - 1))] + candidates:
         spec = AutomorphismSpec(exponents)
         if all(
             distinguished_order(apply_automorphism(spec, g), n).is_distinguished

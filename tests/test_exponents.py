@@ -1,6 +1,7 @@
 import io
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -208,3 +209,69 @@ def test_large_generator_index_in_cli(fresh_primes):
         "i_g = 1\nbound_exp = [1:-1]\nactual_exp = [1:-1]\npass = true\n"
     )
     assert elapsed < 2.0
+
+
+# Near-cancelling inputs.  Oracles are exact integer tests written here:
+# for a, b > 0, a/sqrt(2) - b/sqrt(3) has the sign of 3a^2 - 2b^2 (a
+# shift common to both sides cancels in the difference), and a rational
+# r > 0 lies below 1/sqrt(2) exactly when 2r^2 < 1.
+
+
+def sqrt_convergents(n):
+    """Continued-fraction convergents h/k of sqrt(n), n not a square."""
+    a0 = isqrt(n)
+    m, d, a = 0, 1, a0
+    h0, h1, k0, k1 = 1, a0, 0, 1
+    while True:
+        yield h1, k1
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+
+
+def near_cancelling_pair(bits):
+    """(a, b) with a/b a convergent of sqrt(2/3) = sqrt(6)/3 and
+    max(a, b) of at least the given bit length."""
+    for h, k in sqrt_convergents(6):
+        if max(h, 3 * k).bit_length() >= bits:
+            return h, 3 * k
+
+
+@pytest.mark.parametrize("bits", [260, 600, 2000])
+@pytest.mark.parametrize("shift", [{}, {3: 1}, {3: -7, 5: 2}])
+def test_compare_near_cancelling_convergents(bits, shift):
+    a, b = near_cancelling_pair(bits)
+    expected = (3 * a * a > 2 * b * b) - (3 * a * a < 2 * b * b)
+    assert expected != 0
+    u = ExponentVector.from_dict({1: a, **shift})
+    v = ExponentVector.from_dict({2: b, **shift})
+    assert compare(u, v) == expected
+    assert compare(v, u) == -expected
+    assert (u < v) == (expected < 0)
+
+
+def test_certify_at_a_convergent_endpoint():
+    # h/k -> sqrt(2), so k/h -> 1/sqrt(2); take the first of 300 bits.
+    h, k = next((h, k) for h, k in sqrt_convergents(2) if h.bit_length() >= 300)
+    r = Fraction(k, h)
+    below = 2 * r * r < 1
+    assert certify_in_open_interval(E1, r, Fraction(1)) == below
+    assert certify_in_open_interval(E1, Fraction(0), r) == (not below)
+
+
+def test_near_cancelling_gabber_distance_in_cli():
+    a, b = near_cancelling_pair(300)
+    out, err = io.StringIO(), io.StringIO()
+    g = f"t^[1:{a}] + t^[2:{b}]"
+    code = main(["gabber", "distance", "--p", "3", "--N", "2", "--g", g], out, err)
+    assert code == 0 and err.getvalue() == ""
+    assert out.getvalue().endswith("pass = true\n")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_bounded_reps_pinned(p):
+    assert bounded_coset_representatives(p, 8) == [
+        ExponentVector.unit(i) for i in range(1, 9)
+    ]

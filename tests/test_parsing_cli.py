@@ -357,12 +357,26 @@ class TestCliArgumentErrors:
             ["certify", "--f", "X", "--log-radii", "1/0", "--log-bound", "0"],
             ["selftest", "--trials", "-1"],
             ["selftest", "--trials", "0"],
+            ["norm", "--f", "1", "--n", "-3"],
+            ["unit", "--f", "1", "--n", "-1"],
+            ["distinguish", "--f", "X1", "--n", "-2"],
+            ["automorph", "--f", "X1", "--n", "-1"],
+            ["split", "--f", "1", "--n", "-1"],
+            ["certify", "--f", "X", "--n", "-1", "--log-radii", "0", "--log-bound", "0"],
         ],
     )
     def test_bad_argument_value(self, argv):
         code, out, err = run_cli(argv)
         assert code == 1 and out == ""
         assert err.startswith("usage error: argument --")
+
+    def test_negative_arity(self):
+        code, out, err = run_cli(["norm", "--f", "1", "--n", "-3"])
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument --n: expected a nonnegative integer, got '-3'\n"
+
+    def test_zero_arity(self):
+        assert run_cli(["norm", "--f", "1", "--n", "0"]) == (0, "norm = e^0\n", "")
 
     def test_bad_floors(self, norm_table):
         code, out, err = run_cli(

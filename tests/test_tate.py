@@ -227,6 +227,19 @@ class TestFindAutomorphism:
         report = distinguished_order(apply_automorphism(spec, f), 2)
         assert report.order == 2 and report.is_distinguished
 
+    def test_last_candidate_wins(self):
+        # X1^2 X2^2 + X1^3 X2 + 1: D = 4, and neither (0,) nor (1,) makes
+        # it distinguished, so the search reaches the staircase at c = 1,
+        # a_1 = 1 + (D+1) = 6, under which X1^3 X2 leads with X2^19.
+        p = 2
+        f = TateElem.make(2, p, {(0, 0): one(p), (2, 2): one(p), (3, 1): one(p)})
+        for exponents in [(0,), (1,)]:
+            sheared = apply_automorphism(AutomorphismSpec(exponents), f)
+            assert not distinguished_order(sheared, 2).is_distinguished
+        spec = find_distinguishing_automorphism([f])
+        assert spec.exponents == (6,)
+        assert distinguished_order(apply_automorphism(spec, f), 2).order == 19
+
     def test_constant_unit_needs_no_shear(self):
         p = 5
         spec = find_distinguishing_automorphism([TateElem.constant(2, t(p))])
