@@ -28,6 +28,7 @@ from .field import LaurentSeries, NormValue
 from .tate import (
     AutomorphismSpec,
     TateElem,
+    _from_pairs,
     apply_automorphism,
     is_unit,
     project_kill_vars,
@@ -83,17 +84,18 @@ def lift_splitting_tate(phi: SplittingMap, f: TateElem) -> TateElem:
     p = phi.p
     if f.char != p:
         raise BackendMismatch("characteristics differ")
-    data = {}
+    pairs = []
     for idx, coeff in f.terms:
         if any(k % p for k in idx):
             continue
         if not isinstance(coeff, LaurentSeries):
             raise BackendMismatch("the splitting lift needs Laurent coefficients")
-        image = phi.apply(coeff.pth_root())
-        if not image.is_zero:
-            data[tuple(k // p for k in idx)] = image
+        pairs.append((tuple(k // p for k in idx), phi.apply(coeff.pth_root())))
+    # A ball in the twist is the one way a caller's data reaches the images.
+    if pairs and phi.twist is not None and phi.twist.cutoff is not None:
+        raise DomainError("coefficients must be exact (no ball)")
     slack = None if f.slack is None else f.slack.root(p)
-    return TateElem.make(f.n, p, data, slack)
+    return _from_pairs(f.n, p, pairs, slack)
 
 
 def _embed_last_variable(f: TateElem, n: int) -> TateElem:
@@ -101,7 +103,7 @@ def _embed_last_variable(f: TateElem, n: int) -> TateElem:
     if f.n != 1:
         raise DomainError("embedding expects a one-variable series")
     pad = tuple([0] * (n - 1))
-    return TateElem.make(n, f.char, {pad + idx: c for idx, c in f.terms}, f.slack)
+    return _from_pairs(n, f.char, [(pad + idx, c) for idx, c in f.terms], f.slack)
 
 
 @dataclass(frozen=True)
@@ -129,17 +131,6 @@ class ReducedMap:
         g = lift_splitting_tate(self.phi, g)
         g = apply_automorphism(self.sigma, g, inverse=False)
         return project_kill_vars(g, self.n)
-
-
-def reduce_to_T1(
-    phi: SplittingMap,
-    sigma: AutomorphismSpec,
-    f: TateElem,
-    n: int,
-    pre_twist: TateElem | None = None,
-) -> TateElem:
-    """Evaluate the composed reduction at a one-variable series."""
-    return ReducedMap(phi, sigma, n, pre_twist).apply(f)
 
 
 @dataclass(frozen=True)
@@ -214,19 +205,14 @@ def frobenius_components(phi: SplittingMap, f: TateElem) -> dict:
     components = {}
     for idx, coeff in f.terms:
         e_class = tuple(k % p for k in idx)
-        shifted_idx = tuple(k - r for k, r in zip(idx, e_class))
+        target_idx = tuple(k // p for k in idx)
         for m, c in coeff.terms:
             j = int(m * scale) % p
             piece = LaurentSeries.t_power(p, m - j * unit_exp, c)
-            key = (j, e_class)
-            inner = phi.apply((piece).pth_root())
-            target = components.setdefault(key, {})
-            target_idx = tuple(k // p for k in shifted_idx)
-            prev = target.get(target_idx)
-            target[target_idx] = inner if prev is None else prev + inner
-    return {
-        key: TateElem.make(f.n, p, table) for key, table in components.items()
-    }
+            inner = phi.apply(piece.pth_root())
+            components.setdefault((j, e_class), []).append((target_idx, inner))
+    # A twist with a ball gives ball images, which ``make`` rejects.
+    return {key: TateElem.make(f.n, p, pairs) for key, pairs in components.items()}
 
 
 @dataclass(frozen=True)

@@ -327,11 +327,11 @@ def parse_tate(text: str, p: int, n: int | None = None) -> TateElem:
     arity = n if n is not None else max(1, max_index)
     if max_index > arity:
         raise ParseError(f"variable X{max_index} exceeds arity {arity}", 1, 1)
-    data: dict[tuple[int, ...], LaurentSeries] = {}
-    for coeff, exps in raw_terms:
-        index = tuple(exps.get(i, 0) for i in range(1, arity + 1))
-        data[index] = data[index] + coeff if index in data else coeff
-    return TateElem.make(arity, p, data, slack)
+    terms = [
+        (tuple(exps.get(i, 0) for i in range(1, arity + 1)), coeff)
+        for coeff, exps in raw_terms
+    ]
+    return TateElem.make(arity, p, terms, slack)
 
 
 def format_tate(f: TateElem) -> str:

@@ -7,6 +7,12 @@ slack.  Normalization folds any coefficient whose norm does not exceed
 the slack into the slack, so explicit coefficients always dominate and
 the Gauss norm of a nonempty element is exact.
 
+``TateElem.make`` checks a caller's indices and coefficients once and hands
+them to ``_from_pairs``, the one trusted builder (it merges repeated indices,
+drops zeros, folds the slack, sorts), which internal results call directly.
+Checks stay where a coefficient can come from a caller: ``constant``,
+``monomial``, ``map_coefficients``, parsed input, a twist with a ball.
+
 Operations: ring arithmetic with documented slack propagation, the Gauss
 norm, unit and distinguished-order tests, the degree function that makes
 the one-variable algebra Euclidean, shear automorphisms
@@ -61,7 +67,7 @@ class TateElem:
     @classmethod
     def make(cls, n: int, char: int, coeffs, slack: NormValue | None = None) -> TateElem:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        data = {}
+        pairs = []
         for index, coeff in items:
             index = tuple(int(k) for k in index)
             if len(index) != n or any(k < 0 for k in index):
@@ -70,24 +76,10 @@ class TateElem:
                 raise BackendMismatch("coefficient characteristic differs")
             if coeff.cutoff is not None:
                 raise DomainError("coefficients must be exact (no ball)")
-            if index in data:
-                coeff = data[index] + coeff
-            if not coeff.is_zero:
-                data[index] = coeff
-            elif index in data:
-                del data[index]
-        if slack is not None and slack.is_zero:
-            slack = None
-        if slack is not None:
-            if not (slack.is_finite or slack.is_bound):
-                raise DomainError("slack must be a norm value")
-            slack = NormValue.finite(slack.exponent)
-            data = {
-                idx: c
-                for idx, c in data.items()
-                if c.norm().compare(slack) > 0
-            }
-        return cls(n, char, tuple(sorted(data.items(), key=lambda kv: kv[0])), slack)
+            pairs.append((index, coeff))
+        if slack is not None and not (slack.is_zero or slack.is_finite or slack.is_bound):
+            raise DomainError("slack must be a norm value")
+        return _from_pairs(n, char, pairs, slack)
 
     @classmethod
     def zero(cls, n: int, char: int) -> TateElem:
@@ -126,11 +118,8 @@ class TateElem:
 
     def __add__(self, other: TateElem) -> TateElem:
         self._check_compatible(other)
-        data = dict(self.terms)
-        for idx, c in other.terms:
-            data[idx] = data[idx] + c if idx in data else c
-        slack = _combine_slack_max(self.slack, other.slack)
-        return TateElem.make(self.n, self.char, data, slack)
+        slack = _largest(self.slack, other.slack)
+        return _from_pairs(self.n, self.char, self.terms + other.terms, slack)
 
     def __neg__(self) -> TateElem:
         return TateElem(
@@ -142,12 +131,11 @@ class TateElem:
 
     def __mul__(self, other: TateElem) -> TateElem:
         self._check_compatible(other)
-        data = {}
-        for i1, c1 in self.terms:
-            for i2, c2 in other.terms:
-                idx = tuple(a + b for a, b in zip(i1, i2))
-                prod = c1 * c2
-                data[idx] = data[idx] + prod if idx in data else prod
+        pairs = (
+            (tuple(a + b for a, b in zip(i1, i2)), c1 * c2)
+            for i1, c1 in self.terms
+            for i2, c2 in other.terms
+        )
         candidates = []
         if self.slack is not None:
             g = explicit_max_norm(c for _, c in other.terms)
@@ -159,23 +147,15 @@ class TateElem:
                 candidates.append(other.slack * g)
         if self.slack is not None and other.slack is not None:
             candidates.append(self.slack * other.slack)
-        slack = None
-        for cand in candidates:
-            slack = cand if slack is None else norm_max(slack, cand)
-        return TateElem.make(self.n, self.char, data, slack)
+        return _from_pairs(self.n, self.char, pairs, _largest(*candidates))
 
     def scalar_mul(self, k: int) -> TateElem:
-        return TateElem.make(
-            self.n,
-            self.char,
-            {idx: c.scalar_mul(k) for idx, c in self.terms},
-            self.slack,
-        )
+        pairs = [(idx, c.scalar_mul(k)) for idx, c in self.terms]
+        return _from_pairs(self.n, self.char, pairs, self.slack)
 
     def map_coefficients(self, fn) -> TateElem:
-        return TateElem.make(
-            self.n, self.char, {idx: fn(c) for idx, c in self.terms}, self.slack
-        )
+        pairs = [(idx, fn(c)) for idx, c in self.terms]
+        return TateElem.make(self.n, self.char, pairs, self.slack)
 
     def __str__(self) -> str:
         from .parsing import format_tate
@@ -183,12 +163,28 @@ class TateElem:
         return format_tate(self)
 
 
-def _combine_slack_max(a: NormValue | None, b: NormValue | None) -> NormValue | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return norm_max(a, b)
+def _from_pairs(n: int, char: int, pairs, slack: NormValue | None = None) -> TateElem:
+    """The canonical element from trusted (multi-index, exact coefficient)
+    pairs, an index possibly repeated (see the module docstring)."""
+    data = {}
+    for index, coeff in pairs:
+        if index in data:
+            coeff = data.pop(index) + coeff
+        if not coeff.is_zero:
+            data[index] = coeff
+    slack = None if slack is None or slack.is_zero else NormValue.finite(slack.exponent)
+    if slack is not None:
+        data = {idx: c for idx, c in data.items() if c.norm().compare(slack) > 0}
+    return TateElem(n, char, tuple(sorted(data.items())), slack)
+
+
+def _largest(*norms: NormValue | None) -> NormValue | None:
+    """The largest of the norms given, skipping None (None if all are)."""
+    best = None
+    for norm in norms:
+        if norm is not None:
+            best = norm if best is None else norm_max(best, norm)
+    return best
 
 
 def explicit_max_norm(coeffs) -> NormValue:
@@ -241,14 +237,10 @@ def _coefficients_along(g: TateElem, axis: int) -> dict[int, TateElem]:
     """Decompose along one variable: g = sum_k (coeff_k) * X_axis^k with
     coefficients in the remaining n-1 variables."""
     pos = axis - 1
-    groups: dict[int, dict[MultiIndex, object]] = {}
+    groups: dict[int, list] = {}
     for idx, c in g.terms:
-        k = idx[pos]
-        rest = idx[:pos] + idx[pos + 1 :]
-        groups.setdefault(k, {})[rest] = c
-    return {
-        k: TateElem.make(g.n - 1, g.char, table) for k, table in groups.items()
-    }
+        groups.setdefault(idx[pos], []).append((idx[:pos] + idx[pos + 1 :], c))
+    return {k: _from_pairs(g.n - 1, g.char, pairs) for k, pairs in groups.items()}
 
 
 def distinguished_order(g: TateElem, axis: int | None = None) -> DistinguishedReport:
@@ -269,9 +261,7 @@ def distinguished_order(g: TateElem, axis: int | None = None) -> DistinguishedRe
         raise DomainError("zero-input: the zero series has no distinguished order")
     coeffs = _coefficients_along(g, axis)
     norms = {k: gauss_norm(c) for k, c in coeffs.items()}
-    total = None
-    for n in norms.values():
-        total = n if total is None else norm_max(total, n)
+    total = _largest(*norms.values())
     order = max(k for k, n in norms.items() if n.compare(total) == 0)
     return DistinguishedReport(order, total, is_unit(coeffs[order]))
 
@@ -288,6 +278,21 @@ def euclid_degree(f: TateElem) -> int:
     return max(idx[0] for idx, c in f.terms if c.norm().compare(total) == 0)
 
 
+def _binomial_row(k: int, p: int, sign: int) -> list[tuple[int, int]]:
+    """(j, C(k, j) sign^j mod p) for the j with C(k, j) nonzero mod p: by Lucas'
+    theorem, the j whose base-p digits are at most k's, prod (k_d + 1) of them."""
+    row, place = [(0, 1)], 1
+    while k:
+        k, digit = divmod(k, p)
+        row = [
+            (j + i * place, c * math.comb(digit, i) % p)
+            for j, c in row
+            for i in range(digit + 1)
+        ]
+        place *= p
+    return [(j, c * sign**j % p) for j, c in row]
+
+
 def apply_automorphism(
     spec: AutomorphismSpec, f: TateElem, inverse: bool = False
 ) -> TateElem:
@@ -298,24 +303,17 @@ def apply_automorphism(
             f"automorphism arity {n} does not match series arity {f.n}"
         )
     sign = -1 if inverse else 1
-    data: dict[MultiIndex, object] = {}
+    pairs = []
     for idx, coeff in f.terms:
         head, last = idx[:-1], idx[-1]
         # One binomial expansion per sheared variable.
-        ranges = [range(k + 1) for k in head]
-        for js in itertools.product(*ranges):
-            factor = 1
-            extra = 0
-            for i, (k, j) in enumerate(zip(head, js)):
-                factor *= math.comb(k, j) * (sign**j)
-                extra += spec.exponents[i] * j
-            factor %= f.char
-            if factor == 0:
-                continue
-            new_idx = tuple(k - j for k, j in zip(head, js)) + (last + extra,)
-            piece = coeff.scalar_mul(factor)
-            data[new_idx] = data[new_idx] + piece if new_idx in data else piece
-    return TateElem.make(f.n, f.char, data, f.slack)
+        rows = [_binomial_row(k, f.char, sign) for k in head]
+        for choice in itertools.product(*rows):
+            factor = math.prod(fj for _, fj in choice) % f.char
+            extra = sum(a * j for a, (j, _) in zip(spec.exponents, choice))
+            new_idx = tuple(k - j for k, (j, _) in zip(head, choice)) + (last + extra,)
+            pairs.append((new_idx, coeff.scalar_mul(factor)))
+    return _from_pairs(f.n, f.char, pairs, f.slack)
 
 
 def find_distinguishing_automorphism(gs: list[TateElem]) -> AutomorphismSpec:
@@ -365,8 +363,9 @@ def project_kill_vars(f: TateElem, keep_axis: int) -> TateElem:
     if not 1 <= keep_axis <= f.n:
         raise DomainError(f"axis {keep_axis} out of range for arity {f.n}")
     pos = keep_axis - 1
-    data = {}
-    for idx, c in f.terms:
-        if all(k == 0 for j, k in enumerate(idx) if j != pos):
-            data[(idx[pos],)] = c
-    return TateElem.make(1, f.char, data, f.slack)
+    pairs = [
+        ((idx[pos],), c)
+        for idx, c in f.terms
+        if all(k == 0 for j, k in enumerate(idx) if j != pos)
+    ]
+    return _from_pairs(1, f.char, pairs, f.slack)

@@ -5,9 +5,12 @@ degree (largest index attaining the Gauss norm).  Coefficient divisions
 happen in the Laurent field to a finite cutoff, so the result is exact
 only when every step is; otherwise the identity holds up to the
 requested slack, which is recorded on the remainder.  The algorithm
-pre-scales g by a monomial so its dominant coefficient has norm one,
-long-divides by the part of degree <= d(g), and iterates on the
-correction term, whose norm drops by a fixed factor per round.
+pre-scales g by a monomial so its dominant coefficient has norm one and
+long-divides top down: each step subtracts step * X^shift * g, which
+clears a degree >= d(g) and leaves the smaller tail terms above it for
+the next round.  The remainder's norm drops by a fixed factor
+e^-contraction per round, so the number of rounds needed for the target
+is known before the first one and is the loop's bound (see ``divide``).
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DomainError, PrecisionError
 from .field import LaurentSeries, NormValue, _denominator_level
-from .tate import TateElem, euclid_degree, explicit_max_norm, gauss_norm
-
-# Extra rounds past the predicted convergence point before giving up.
-_EXTRA_ROUNDS = 8
+from .tate import TateElem, _from_pairs, euclid_degree, explicit_max_norm, gauss_norm
 
 
 def _require_exact_t1(f: TateElem, name: str) -> None:
@@ -33,40 +33,6 @@ def _require_exact_t1(f: TateElem, name: str) -> None:
             raise BackendMismatch("division needs Laurent coefficients")
 
 
-def _longdiv_pass(
-    h: dict[int, LaurentSeries],
-    head: dict[int, LaurentSeries],
-    inv_dominant: LaurentSeries,
-    order: int,
-):
-    """One top-down elimination of all degrees >= order.
-
-    Returns (u, leftover, low): h = u*head + leftover + low with low of
-    degree < order and leftover the small per-degree residues left by the
-    truncated inverse.
-    """
-    work = dict(h)
-    u: dict[int, LaurentSeries] = {}
-    # Walk every degree down to the order: subtractions refill lower
-    # entries, so the range must be dynamic rather than a key snapshot.
-    for d in range(max(work), order - 1, -1):
-        c = work.get(d)
-        if c is None or c.is_zero:
-            continue
-        step = c * inv_dominant
-        if step.is_zero:
-            continue
-        u[d - order] = step
-        for k, pk in head.items():
-            pos = d - order + k
-            prod = step * pk
-            prev = work.get(pos)
-            work[pos] = -prod if prev is None else prev - prod
-    leftover = {d: c for d, c in work.items() if d >= order and not c.is_zero}
-    low = {d: c for d, c in work.items() if d < order and not c.is_zero}
-    return u, leftover, low
-
-
 def divide(
     f: TateElem, g: TateElem, target_slack: NormValue
 ) -> tuple[TateElem, TateElem]:
@@ -75,6 +41,20 @@ def divide(
     The returned r carries the norm of the discarded correction as its
     slack bound (exact when the iteration terminates with no residue);
     q is always explicit.
+
+    Round bound.  g is scaled to Gauss norm 1, so its dominant coefficient
+    and ``inv_dominant``, that coefficient's inverse exact to t^kappa, have
+    norm 1; every head coefficient (degree <= d(g)) has norm <= 1 and every
+    tail coefficient norm <= e^-c_t with c_t > 0.  In a round each step
+    c * inv_dominant has norm |c| <= |h|, so the head's updates stay within
+    |h| and clear each degree >= d(g) up to the inverse's error, of norm
+    <= |h| e^-kappa, while the tail adds terms of norm <= |h| e^-c_t above
+    it.  One round thus takes |h| to at most |h| e^-contraction, where
+    contraction = min(kappa, c_t) <= kappa.  As h starts at
+    |f| <= e^-floor_exp, after ceil((tau - floor_exp) / contraction) rounds
+    (none when that is not positive) |h| <= e^-tau and the stop test
+    holds.  ``cap`` is that count and h is tested cap + 1 times, so the
+    PrecisionError is unreachable; it stays as a defensive path.
     """
     _require_exact_t1(f, "dividend")
     _require_exact_t1(g, "divisor")
@@ -94,8 +74,6 @@ def divide(
     if gauss_exp != 0:
         scale = LaurentSeries.t_power(p, -gauss_exp)
         gh = {d: c * scale for d, c in gh.items()}
-    head = {d: c for d, c in gh.items() if d <= order}
-    tail = {d: c for d, c in gh.items() if d > order}
 
     f_val = gauss_norm(f).exponent
     floor_exp = min(Fraction(0), f_val)
@@ -104,48 +82,47 @@ def divide(
         # The inverse's cutoff must lie in the (1/p^e)Z lattice; a higher
         # working precision is as sound, and an integer lies in it.
         kappa = Fraction(math.ceil(kappa))
-    inv_dominant = head[order].inverse(kappa).explicit_part()
+    inv_dominant = gh[order].inverse(kappa).explicit_part()
 
     contraction = kappa
-    if tail:
-        contraction = min(contraction, explicit_max_norm(tail.values()).exponent)
-    cap = math.ceil((tau - floor_exp) / contraction) + _EXTRA_ROUNDS
+    tail_norm = explicit_max_norm(c for d, c in gh.items() if d > order)
+    if not tail_norm.is_zero:
+        contraction = min(contraction, tail_norm.exponent)
+    cap = max(0, math.ceil((tau - floor_exp) / contraction))
 
-    q: dict[int, LaurentSeries] = {}
-    r: dict[int, LaurentSeries] = {}
+    q: list = []
+    r: list = []
     h = {idx[0]: c for idx, c in f.terms}
-    residue_norm = None
     for _ in range(cap + 1):
         h = {d: c for d, c in h.items() if not c.is_zero}
-        if not h:
-            residue_norm = None
+        residue_norm = explicit_max_norm(h.values())
+        if not h or residue_norm.compare(target_slack) <= 0:
             break
-        bound = explicit_max_norm(h.values())
-        if bound.compare(target_slack) <= 0:
-            residue_norm = bound
-            break
-        u, leftover, low = _longdiv_pass(h, head, inv_dominant, order)
-        for d, c in u.items():
-            q[d] = q[d] + c if d in q else c
-        for d, c in low.items():
-            r[d] = r[d] + c if d in r else c
-        h = leftover
-        for du, cu in u.items():
-            for dt, ct in tail.items():
-                pos = du + dt
-                prod = cu * ct
+        # One round, top down: h -= step * X^shift * g clears degree d
+        # (up to the inverse's error) and puts the tail's smaller terms
+        # above d, where the next round takes them.
+        for d in range(max(h), order - 1, -1):
+            c = h.get(d)
+            if c is None or c.is_zero:
+                continue
+            step = c * inv_dominant
+            q.append(((d - order,), step))
+            for k, gk in gh.items():
+                pos = d - order + k
                 prev = h.get(pos)
-                h[pos] = -prod if prev is None else prev - prod
+                prod = step * gk
+                h[pos] = -prod if prev is None or prev.is_zero else prev - prod
+        r += [((d,), c) for d, c in h.items() if d < order and not c.is_zero]
+        h = {d: c for d, c in h.items() if d >= order}
     else:
         raise PrecisionError(
             "nonconvergence-at-bound: division iteration cap reached"
         )
 
+    q_elem = _from_pairs(1, p, q)
     if scale is not None:
-        q = {d: c * scale for d, c in q.items()}
-    q_elem = TateElem.make(1, p, {(d,): c for d, c in q.items()})
-    r_elem = TateElem.make(1, p, {(d,): c for d, c in r.items()}, residue_norm)
-    return q_elem, r_elem
+        q_elem = _from_pairs(1, p, [(i, c * scale) for i, c in q_elem.terms])
+    return q_elem, _from_pairs(1, p, r, residue_norm)
 
 
 def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:
@@ -167,7 +144,7 @@ def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:
     a, b = f, g
     while b.terms:
         _, r = divide(a, b, target_slack)
-        r_explicit = TateElem.make(1, p, dict(r.terms))
+        r_explicit = _from_pairs(1, p, r.terms)
         if (
             r_explicit.terms
             and explicit_max_norm(c for _, c in r_explicit.terms).compare(target_slack)

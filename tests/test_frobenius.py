@@ -14,7 +14,6 @@ from tatekit.frobenius import (
     lift_splitting_tate,
     normalize_to_unital,
     phi_standard,
-    reduce_to_T1,
     select_diagonal_indices,
 )
 from tatekit.selftest import _tate_frobenius, sample_laurent, sample_tate
@@ -182,14 +181,14 @@ class TestReduction:
         phi = phi_standard(p)
         sigma = AutomorphismSpec((1,))
         f = TateElem.constant(1, one(p))
-        assert reduce_to_T1(phi, sigma, f, 2) == f
+        assert ReducedMap(phi, sigma, 2).apply(f) == f
 
     def test_power_of_last_variable(self):
         p = 2
         phi = phi_standard(p)
         sigma = AutomorphismSpec((1,))
         f = TateElem.monomial(1, (p,), one(p))
-        assert reduce_to_T1(phi, sigma, f, 2) == TateElem.monomial(1, (1,), one(p))
+        assert ReducedMap(phi, sigma, 2).apply(f) == TateElem.monomial(1, (1,), one(p))
 
     def test_twisted_image_of_one_survives_projection(self):
         # Pre-twist by X1^p so the lift alone sends 1 into the ideal (X1):
@@ -202,8 +201,8 @@ class TestReduction:
 
         unconjugated = project_kill_vars(lift_splitting_tate(phi, pre), 2)
         assert not unconjugated.terms
-        sheared = reduce_to_T1(
-            phi, AutomorphismSpec((1,)), TateElem.constant(1, one(p)), 2, pre_twist=pre
+        sheared = ReducedMap(phi, AutomorphismSpec((1,)), 2, pre_twist=pre).apply(
+            TateElem.constant(1, one(p))
         )
         assert sheared == TateElem.monomial(1, (1,), one(p))
 
@@ -388,3 +387,20 @@ class TestDiagonalSelection:
                 # Minimality: no earlier admissible row was skipped.
                 for m in range(steps[pos - 1].index + 1, step.index):
                     assert table.entries[(m, 0)] >= min(competitors)
+
+
+class TestBallTwistIsRejected:
+    """A twist with a ball would put a ball coefficient into the result."""
+
+    def ball_twist(self):
+        return phi_standard(2, LaurentSeries.make(2, {0: 1}, 5))
+
+    def test_lift(self):
+        with pytest.raises(DomainError) as info:
+            lift_splitting_tate(self.ball_twist(), TateElem.constant(1, one(2)))
+        assert str(info.value) == "coefficients must be exact (no ball)"
+
+    def test_components(self):
+        with pytest.raises(DomainError) as info:
+            frobenius_components(self.ball_twist(), TateElem.constant(1, one(2)))
+        assert str(info.value) == "coefficients must be exact (no ball)"

@@ -1,9 +1,13 @@
+import io
 import itertools
+import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from tatekit.cli import main
 from tatekit.errors import BackendMismatch, DomainError, PrecisionError
 from tatekit.field import LaurentSeries, NormValue
 from tatekit.selftest import sample_tate
@@ -326,3 +330,130 @@ class TestExhaustiveMultiplicativity:
                     assert gauss_norm(f * g).compare(
                         gauss_norm(f) * gauss_norm(g)
                     ) == 0
+
+
+def ball(p):
+    return LaurentSeries.make(p, {0: 1}, 4)
+
+
+class TestOutsideInputChecks:
+    """Indices and coefficients from a caller are checked; the builder
+    behind the internal operations trusts its pairs."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (
+                lambda: TateElem.make(2, 3, {(1,): one(3)}),
+                DomainError,
+                "multi-index (1,) invalid for arity 2",
+            ),
+            (
+                lambda: TateElem.make(1, 3, {(0, 0): one(3)}),
+                DomainError,
+                "multi-index (0, 0) invalid for arity 1",
+            ),
+            (
+                lambda: TateElem.make(2, 3, {(1, -1): one(3)}),
+                DomainError,
+                "multi-index (1, -1) invalid for arity 2",
+            ),
+            (
+                lambda: TateElem.make(1, 3, {(0,): one(5)}),
+                BackendMismatch,
+                "coefficient characteristic differs",
+            ),
+            (
+                lambda: TateElem.make(1, 3, {(0,): ball(3)}),
+                DomainError,
+                "coefficients must be exact (no ball)",
+            ),
+            (
+                lambda: TateElem.make(1, 3, [((0,), one(3)), ((0,), ball(3))]),
+                DomainError,
+                "coefficients must be exact (no ball)",
+            ),
+            (
+                lambda: TateElem.monomial(2, (1,), one(3)),
+                DomainError,
+                "multi-index (1,) invalid for arity 2",
+            ),
+            (
+                lambda: TateElem.constant(1, ball(3)),
+                DomainError,
+                "coefficients must be exact (no ball)",
+            ),
+            (
+                lambda: TateElem.constant(1, one(3)).map_coefficients(lambda c: ball(3)),
+                DomainError,
+                "coefficients must be exact (no ball)",
+            ),
+            (
+                lambda: TateElem.constant(1, one(3)).map_coefficients(lambda c: one(5)),
+                BackendMismatch,
+                "coefficient characteristic differs",
+            ),
+        ],
+    )
+    def test_rejected(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_repeated_indices_merge(self):
+        p = 3
+        pairs = [((1,), one(p)), ((0,), t(p)), ((1,), one(p)), ((1,), one(p))]
+        assert TateElem.make(1, p, pairs) == TateElem.constant(1, t(p))
+
+
+def shear_by_every_binomial(spec, f, inverse=False):
+    """Independent oracle: expand every (X_i +/- X_n^a_i)^k over all j <= k."""
+    sign = -1 if inverse else 1
+    data = {}
+    for idx, coeff in f.terms:
+        head, last = idx[:-1], idx[-1]
+        for js in itertools.product(*[range(k + 1) for k in head]):
+            factor = 1
+            for k, j in zip(head, js):
+                factor *= math.comb(k, j) * sign**j
+            if factor % f.char == 0:
+                continue
+            extra = sum(a * j for a, j in zip(spec.exponents, js))
+            new_idx = tuple(k - j for k, j in zip(head, js)) + (last + extra,)
+            piece = coeff.scalar_mul(factor % f.char)
+            data[new_idx] = data[new_idx] + piece if new_idx in data else piece
+    return TateElem.make(f.n, f.char, data, f.slack)
+
+
+class TestLucasExpansion:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_matches_every_binomial(self, p, inverse):
+        for k in range(61):
+            for spec, index in [
+                (AutomorphismSpec((0,)), (k, k % 3)),
+                (AutomorphismSpec((2,)), (k, 1)),
+                (AutomorphismSpec((1, 3)), (k, 60 - k, 2)),
+                (AutomorphismSpec((0, 0)), (k % 7, k, 0)),
+            ]:
+                f = TateElem.monomial(len(index), index, t(p, k % 4 - 1))
+                f = f + TateElem.constant(len(index), one(p))
+                expected = shear_by_every_binomial(spec, f, inverse)
+                assert apply_automorphism(spec, f, inverse) == expected
+
+    def test_power_of_two_has_two_terms(self):
+        # (X1 + X2)^(2^15) = X1^(2^15) + X2^(2^15) in characteristic 2.
+        image = apply_automorphism(
+            AutomorphismSpec((1,)), TateElem.monomial(2, (32768, 0), one(2))
+        )
+        assert image == TateElem.make(
+            2, 2, {(32768, 0): one(2), (0, 32768): one(2)}
+        )
+
+    def test_cli_large_power_is_fast(self):
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        code = main(["automorph", "--p", "2", "--n", "2", "--f", "X1^8192 + X2"], out, err)
+        elapsed = time.perf_counter() - started
+        assert (code, out.getvalue(), err.getvalue()) == (0, "alphas = 0\n", "")
+        assert elapsed < 1.0

@@ -210,3 +210,31 @@ class TestGcd:
                 _, rem = divide(original, common_explicit, TARGET)
                 rem_norm = gauss_norm(TateElem.make(1, p, dict(rem.terms)))
                 assert rem_norm.is_zero or rem_norm.compare(TARGET) <= 0
+
+
+class TestRoundBound:
+    """divide runs at most ceil((tau - floor_exp) / contraction) rounds."""
+
+    @pytest.mark.parametrize("tau", [Fraction(8), Fraction(17, 2), Fraction(12)])
+    def test_stops_at_the_predicted_round(self, tau):
+        # g = 1 + tX: order 0, tail norm e^-1, so contraction = 1 and each
+        # round leaves exactly one term t^k X^k of norm e^-k; with |f| = 1
+        # the target e^-tau is met after exactly ceil(tau) rounds, the cap.
+        p = 2
+        f = TateElem.constant(1, one(p))
+        g = TateElem.make(1, p, {(0,): one(p), (1,): t(p)})
+        rounds = -(-tau.numerator // tau.denominator)
+        q, r = divide(f, g, NormValue.finite(tau))
+        assert q == TateElem.make(1, p, {(k,): t(p, k) for k in range(rounds)})
+        assert not r.terms
+        assert r.slack == NormValue.finite(Fraction(rounds))
+
+    def test_target_above_the_dividend(self):
+        # No round is needed: f itself is within the target, so q = 0 and
+        # r is f's norm as slack.
+        p = 3
+        f = TateElem.constant(1, t(p, -2))
+        g = TateElem.make(1, p, {(0,): one(p), (1,): t(p)})
+        q, r = divide(f, g, NormValue.finite(Fraction(-30)))
+        assert q.is_zero
+        assert not r.terms and r.slack == NormValue.finite(Fraction(-2))
