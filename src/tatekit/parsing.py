@@ -63,7 +63,7 @@ class _Scanner:
     def parse_unsigned(self) -> int:
         self._ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected digits")

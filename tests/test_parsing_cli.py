@@ -438,3 +438,82 @@ class TestCliArgumentErrors:
         res_norm = gauss_norm(TateElem.make(1, 2, dict(residual.terms)))
         assert res_norm.is_zero or res_norm.compare(parse_norm_value("e^-1/3")) <= 0
         assert all(idx[0] < euclid_degree(g) for idx, _ in r.terms)
+
+
+class TestNonAsciiInput:
+    """Characters outside what ``int()`` reads are syntax errors, not crashes."""
+
+    @pytest.mark.parametrize(
+        "argv,column",
+        [
+            (["norm", "--f", "X^²"], 3),
+            (["norm", "--f", "X²"], 2),
+            (["gabber", "distance", "--N", "2", "--g", "t^[²:1]"], 4),
+            (["norm", "--f", "²"], 1),
+            (["norm", "--f", "[t^²]"], 4),
+        ],
+    )
+    def test_superscript_digit_is_a_syntax_error(self, argv, column):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == f"syntax error: expected digits at line 1, column {column}\n"
+
+    def test_decimal_digits_of_other_scripts_still_parse(self):
+        assert run_cli(["degree", "--f", "X^٣"]) == run_cli(["degree", "--f", "X^3"])
+        assert run_cli(["degree", "--f", "X^٣"]) == (0, "degree = 3\n", "")
+
+    def test_bad_seed_variable_is_a_usage_error(self, monkeypatch):
+        monkeypatch.setenv("TATEKIT_SEED", "abc")
+        assert run_cli(["selftest", "--trials", "1"]) == (
+            1, "", "usage error: TATEKIT_SEED: expected an integer, got 'abc'\n"
+        )
+        code, out, err = run_cli(["selftest", "--trials", "1", "--seed", "3"])
+        assert (code, err) == (0, "") and out.endswith("result = pass\n")
+
+
+COMMANDS = {
+    "norm": "Gauss norm of a series",
+    "unit": "unit test for a series",
+    "degree": "Euclidean degree in one variable",
+    "divide": "Euclidean division in one variable",
+    "distinguish": "distinguished order report",
+    "automorph": "find a shear distinguishing the inputs",
+    "split": "apply the splitting lift",
+    "certify": "certified splitting lift for convergent series",
+    "diag-select": "diagonal index selection over a norm table",
+    "gabber": "compositum-field witnesses",
+    "selftest": "run the invariant suites",
+}
+
+
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv, io.StringIO(), io.StringIO())
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestCliRegistry:
+    """Every command stays reachable: listed, documented and checked."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        text = help_text(["--help"], capsys)
+        assert "{" + ",".join(COMMANDS) + "}" in text
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_prints_its_description(self, command, capsys):
+        text = help_text([command, "--help"], capsys)
+        assert text.startswith(f"usage: tatekit {command} [-h] [--p P] [--format {{text,records}}]")
+        assert f"\n\n{COMMANDS[command]}\n\n" in text
+
+    @pytest.mark.parametrize(
+        "argv,missing",
+        [([command], "the following arguments are required: ") for command in COMMANDS
+         if command != "selftest"]
+        # selftest has no required argument; an option without its value stands in.
+        + [(["selftest", "--trials"], "argument --trials: expected one argument")],
+    )
+    def test_missing_argument_is_a_usage_error(self, argv, missing):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {missing}")
