@@ -308,7 +308,7 @@ def find_p_multiple_near(
     check_width = eps / 4
     for radius in range(0, coeff_bound + 1, p):
         if radius == 0:
-            shells = [tuple([0] * gen_count)]
+            shells = [()]
         else:
             choices = list(range(-radius, radius + 1, p))
             shells = (
@@ -318,7 +318,7 @@ def find_p_multiple_near(
             )
         for combo in shells:
             vec = ExponentVector.from_dict(
-                {i + 1: c for i, c in enumerate(combo)}
+                {i + 1: c for i, c in enumerate(combo) if c}
             )
             iv = enclose(vec, check_width)
             if iv.strictly_inside(target - eps, target + eps):

@@ -11,6 +11,10 @@ clears a degree >= d(g) and leaves the smaller tail terms above it for
 the next round.  The remainder's norm drops by a fixed factor
 e^-contraction per round, so the number of rounds needed for the target
 is known before the first one and is the loop's bound (see ``divide``).
+
+The rounds run on exact values at one lattice level: each X-degree is a
+dict from lattice int to unreduced int, reduced mod p only where it is
+read, and q and r become canonical series once, at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .errors import BackendMismatch, DomainError, PrecisionError
-from .field import LaurentSeries, NormValue, _denominator_level
+from .field import LaurentSeries, NormValue, _canonical, _denominator_level, _product
 from .tate import TateElem, _from_pairs, euclid_degree, explicit_max_norm, gauss_norm
 
 
@@ -28,9 +32,8 @@ def _require_exact_t1(f: TateElem, name: str) -> None:
         raise DomainError(f"{name} must be a one-variable series")
     if f.slack is not None:
         raise DomainError(f"{name} must be exact (no slack)")
-    for _, c in f.terms:
-        if not isinstance(c, LaurentSeries):
-            raise BackendMismatch("division needs Laurent coefficients")
+    if any(not isinstance(c, LaurentSeries) for _, c in f.terms):
+        raise BackendMismatch("division needs Laurent coefficients")
 
 
 def divide(
@@ -69,7 +72,6 @@ def divide(
     tau = target_slack.exponent
     order = euclid_degree(g)
     gauss_exp = gauss_norm(g).exponent
-    scale = None
     gh = {idx[0]: c for idx, c in g.terms}
     if gauss_exp != 0:
         scale = LaurentSeries.t_power(p, -gauss_exp)
@@ -90,39 +92,49 @@ def divide(
         contraction = min(contraction, tail_norm.exponent)
     cap = max(0, math.ceil((tau - floor_exp) / contraction))
 
-    q: list = []
-    r: list = []
-    h = {idx[0]: c for idx, c in f.terms}
-    for _ in range(cap + 1):
-        h = {d: c for d, c in h.items() if not c.is_zero}
-        residue_norm = explicit_max_norm(h.values())
-        if not h or residue_norm.compare(target_slack) <= 0:
+    # g's levels cover gh's and the scale's, which q's exponents take.
+    level = max(c.level for _, c in (*f.terms, *g.terms, (None, inv_dominant)))
+    t_shift = (-gauss_exp * p**level).numerator
+    inv = _lift(inv_dominant, level)
+    g_rows = [(k, _lift(c, level)) for k, c in gh.items()]
+    h = {idx[0]: dict(_lift(c, level)) for idx, c in f.terms}
+    q_rows: dict = {}
+    for rnd in range(cap + 1):
+        h = {d: row for d, row in ((d, _mod(row, p)) for d, row in h.items()) if row}
+        # Degrees below d(g) are r's and leave the test after round one.
+        least = min((min(row) for d, row in h.items() if d >= order or not rnd),
+                    default=None)
+        if least is None or Fraction(least, p**level) >= tau:
             break
-        # One round, top down: h -= step * X^shift * g clears degree d
-        # (up to the inverse's error) and puts the tail's smaller terms
-        # above d, where the next round takes them.
+        # One round, top down: h -= step * X^(d - d(g)) * g clears degree d up
+        # to the inverse's error; the tail's smaller terms land above d.
         for d in range(max(h), order - 1, -1):
-            c = h.get(d)
-            if c is None or c.is_zero:
+            if not (row := _mod(h.get(d, {}), p)):
                 continue
-            step = c * inv_dominant
-            q.append(((d - order,), step))
-            for k, gk in gh.items():
-                pos = d - order + k
-                prev = h.get(pos)
-                prod = step * gk
-                h[pos] = -prod if prev is None or prev.is_zero else prev - prod
-        r += [((d,), c) for d, c in h.items() if d < order and not c.is_zero]
-        h = {d: c for d, c in h.items() if d >= order}
+            step = _mod(_product(row.items(), inv), p).items()
+            q_row = q_rows.setdefault(d - order, {})
+            for e, c in step:
+                q_row[e + t_shift] = q_row.get(e + t_shift, 0) + c
+            for k, gk in g_rows:
+                acc = h.setdefault(d - order + k, {})
+                for e1, c1 in step:
+                    for e2, c2 in gk:
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) - c1 * c2
     else:
-        raise PrecisionError(
-            "nonconvergence-at-bound: division iteration cap reached"
-        )
+        raise PrecisionError("nonconvergence-at-bound: division iteration cap reached")
+    slack = None if least is None else NormValue.finite(Fraction(least, p**level))
+    q = [((d,), _canonical(p, level, row, None)) for d, row in q_rows.items()]
+    r = [((d,), _canonical(p, level, row, None)) for d, row in h.items() if d < order]
+    return _from_pairs(1, p, q), _from_pairs(1, p, r if rnd else [], slack)
 
-    q_elem = _from_pairs(1, p, q)
-    if scale is not None:
-        q_elem = _from_pairs(1, p, [(i, c * scale) for i, c in q_elem.terms])
-    return q_elem, _from_pairs(1, p, r, residue_norm)
+
+def _lift(c: LaurentSeries, level: int) -> list:
+    """c's (lattice int, coefficient) pairs at a level at least c's."""
+    return [(e * c.p ** (level - c.level), a) for e, a in zip(c._exps, c._coeffs)]
+
+
+def _mod(row: dict, p: int) -> dict:
+    return {e: c % p for e, c in row.items() if c % p}
 
 
 def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:

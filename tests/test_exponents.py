@@ -133,6 +133,20 @@ def test_bounded_reps_postconditions(p):
     assert len(signatures) == 8
 
 
+def test_bounded_reps_linear_in_count():
+    # Every generator's value already lies in (0, 1), so each shift is the
+    # radius-0 candidate, the zero vector; building it must not cost a
+    # count-long tuple and dict per generator (8000 took about 10 s then).
+    p, count = 2, 8000
+    started = time.perf_counter()
+    reps = bounded_coset_representatives(p, count)
+    assert time.perf_counter() - started < 3
+    assert len({rep.signature(p) for rep in reps}) == count
+    for i, rep in enumerate(reps, start=1):
+        assert (rep - ExponentVector.unit(i)).signature(p).is_zero
+        assert certify_in_open_interval(rep, Fraction(-1), Fraction(1))
+
+
 def test_order_compatible_with_intervals(rng):
     width = Fraction(1, 10**12)
     for _ in range(200):
