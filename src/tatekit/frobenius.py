@@ -25,14 +25,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DomainError, SearchExhausted
 from .field import LaurentSeries, NormValue
-from .tate import (
-    AutomorphismSpec,
-    TateElem,
-    _from_pairs,
-    apply_automorphism,
-    is_unit,
-    project_kill_vars,
-)
+from .tate import AutomorphismSpec, TateElem, _from_pairs, _product, is_unit
 from .weierstrass import divide
 
 
@@ -98,14 +91,6 @@ def lift_splitting_tate(phi: SplittingMap, f: TateElem) -> TateElem:
     return _from_pairs(f.n, p, pairs, slack)
 
 
-def _embed_last_variable(f: TateElem, n: int) -> TateElem:
-    """View a one-variable series as a series in X_n inside arity n."""
-    if f.n != 1:
-        raise DomainError("embedding expects a one-variable series")
-    pad = tuple([0] * (n - 1))
-    return _from_pairs(n, f.char, [(pad + idx, c) for idx, c in f.terms], f.slack)
-
-
 @dataclass(frozen=True)
 class ReducedMap:
     """The composed one-variable map pi . sigma . Phi . (pre_twist *) . sigma^(-1).
@@ -114,6 +99,17 @@ class ReducedMap:
     series premultiplication (the constructive stand-in for an arbitrary
     nonzero map's normalization); sigma is a shear; pi kills all
     variables but the last.  Inputs and outputs are one-variable series.
+
+    ``apply`` drops every stage whose output the next one discards.
+    (i) sigma^(-1) fixes the embedded f: each index has head exponents 0,
+    and X_i^0 expands to 1.  (ii) sigma expands X_i^b into the terms
+    C(b, j) X_i^(b-j) X_n^(a_i j); pi keeps j = b alone, where C(b, b) = 1.
+    So an index pi keeps is reached only by c X^b -> c X_n^(b_n + sum a_i b_i),
+    sigma's builder merges and folds it over the same terms as this one
+    substitution does, and pi's builder, on distinct indices, is a no-op.
+    (iii) Phi reads only the indices with every coordinate divisible by p,
+    and the product merges and folds each index on its own, so only the
+    products landing there are built; the slack is the full product's.
     """
 
     phi: SplittingMap
@@ -124,21 +120,25 @@ class ReducedMap:
     def apply(self, f: TateElem) -> TateElem:
         if self.sigma.arity != self.n:
             raise BackendMismatch("shear arity does not match")
-        g = _embed_last_variable(f, self.n)
-        g = apply_automorphism(self.sigma, g, inverse=True)
+        if f.n != 1:
+            raise DomainError("embedding expects a one-variable series")
+        pad = (0,) * (self.n - 1)
+        g = _from_pairs(self.n, f.char, [(pad + i, c) for i, c in f.terms], f.slack)
         if self.pre_twist is not None:
-            g = self.pre_twist * g
+            g = _product(self.pre_twist, g, self.phi.p)
         g = lift_splitting_tate(self.phi, g)
-        g = apply_automorphism(self.sigma, g, inverse=False)
-        return project_kill_vars(g, self.n)
+        weights = self.sigma.exponents + (1,)
+        pairs = [((sum(a * k for a, k in zip(weights, i)),), c) for i, c in g.terms]
+        return _from_pairs(1, g.char, pairs, g.slack)
 
 
 @dataclass(frozen=True)
 class NormalizedSplitting:
     """A composed map rescaled so that 1 maps to 1.
 
-    Evaluation divides by the unit value, so it takes a target slack;
-    when the unit value is exactly 1 the division is exact.
+    Evaluation divides by the unit value, so it takes a target slack.
+    When the unit value is exactly 1, the quotient is the value itself
+    unless |value| <= e^-tau: then it is 0 and the value becomes slack.
     """
 
     base: ReducedMap

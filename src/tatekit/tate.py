@@ -130,24 +130,7 @@ class TateElem:
         return self + (-other)
 
     def __mul__(self, other: TateElem) -> TateElem:
-        self._check_compatible(other)
-        pairs = (
-            (tuple(a + b for a, b in zip(i1, i2)), c1 * c2)
-            for i1, c1 in self.terms
-            for i2, c2 in other.terms
-        )
-        candidates = []
-        if self.slack is not None:
-            g = explicit_max_norm(c for _, c in other.terms)
-            if not g.is_zero:
-                candidates.append(self.slack * g)
-        if other.slack is not None:
-            g = explicit_max_norm(c for _, c in self.terms)
-            if not g.is_zero:
-                candidates.append(other.slack * g)
-        if self.slack is not None and other.slack is not None:
-            candidates.append(self.slack * other.slack)
-        return _from_pairs(self.n, self.char, pairs, _largest(*candidates))
+        return _product(self, other, 1)
 
     def scalar_mul(self, k: int) -> TateElem:
         pairs = [(idx, c.scalar_mul(k)) for idx, c in self.terms]
@@ -176,6 +159,33 @@ def _from_pairs(n: int, char: int, pairs, slack: NormValue | None = None) -> Tat
     if slack is not None:
         data = {idx: c for idx, c in data.items() if c.norm().compare(slack) > 0}
     return TateElem(n, char, tuple(sorted(data.items())), slack)
+
+
+def _product(a: TateElem, b: TateElem, m: int) -> TateElem:
+    """a * b at the indices with every coordinate divisible by m (all of
+    them for m = 1), with the full product's slack."""
+    a._check_compatible(b)
+    pairs = (
+        (idx, c1 * c2)
+        for i1, c1 in a.terms
+        for i2, c2 in b.terms
+        for idx in [tuple(x + y for x, y in zip(i1, i2))]
+        if m == 1 or not any(k % m for k in idx)
+    )
+    candidates = []
+    if a.slack is not None:
+        g = explicit_max_norm(c for _, c in b.terms)
+        if not g.is_zero:
+            candidates.append(a.slack * g)
+    if b.slack is not None:
+        g = explicit_max_norm(c for _, c in a.terms)
+        if not g.is_zero:
+            candidates.append(b.slack * g)
+    if a.slack is not None and b.slack is not None:
+        candidates.append(a.slack * b.slack)
+    if m != 1 and a.terms and b.terms:  # a * b's first pair raises on mixed backends
+        a.terms[0][1]._check_compatible(b.terms[0][1])
+    return _from_pairs(a.n, a.char, pairs, _largest(*candidates))
 
 
 def _largest(*norms: NormValue | None) -> NormValue | None:
