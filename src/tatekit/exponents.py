@@ -10,10 +10,10 @@ combination is irrational, and a norm argument bounds its distance to
 any rational (see _sign), so ordering is decidable by integer fixed-point
 enclosures refined until they exclude that rational.
 
-The coset structure modulo a prime p (coordinatewise reduction) and a
-bounded search for group elements with all coordinates divisible by p
-near a rational target are also provided; together they produce bounded
-lists of pairwise distinct coset representatives.
+The coset structure modulo a prime p (coordinatewise reduction), the
+generators as bounded coset representatives, and a bounded search for
+group elements with all coordinates divisible by p near a rational
+target are also provided.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, prod
 
-from .errors import DomainError, SearchExhausted
+from .errors import DomainError
 
 # Precision of the per-vector cached bounds that shortcut comparisons.
 _FAST_BITS = 80
@@ -85,10 +85,6 @@ class RealInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
@@ -326,43 +322,20 @@ def find_p_multiple_near(
     return None
 
 
-def bounded_coset_representatives(
-    p: int,
-    count: int,
-    *,
-    shift_eps: Fraction = Fraction(3, 4),
-    shift_coeff_bound: int | None = None,
-) -> list[ExponentVector]:
-    """Representatives s_1..s_count of the cosets of the i-th generators,
-    shifted by p-divisible vectors so every value lies in (-1, 1).
+def bounded_coset_representatives(p: int, count: int) -> list[ExponentVector]:
+    """Representatives s_1..s_count of the cosets of the first count
+    generators modulo the p-divisible vectors: s_i = e_i, the i-th
+    generator itself.
 
-    Each s_i keeps the coset signature of the i-th generator, the values
-    are certified inside (-1, 1) by interval enclosures, and signatures
-    are pairwise distinct.  Raises SearchExhausted if the bounded shift
-    search fails (unreachable for these generators, whose values already
-    lie in (0, 1); kept as a real code path for robustness).
+    Each postcondition holds with no search and no enclosure:
+    - the value of e_i is 1/sqrt(q_i) with q_i = nth_prime(i) >= 2, so
+      0 < 1/sqrt(q_i) < 1;
+    - the signature of e_i mod p is ((i, 1)), since 0 < 1 < p; the
+      signatures are pairwise distinct and each equals its generator's;
+    - q_i strictly increases with i, so the values strictly decrease.
     """
+    if not _is_prime(p):
+        raise DomainError(f"characteristic {p} is not prime")
     if count < 1:
         raise ValueError("count must be >= 1")
-    bound = shift_coeff_bound if shift_coeff_bound is not None else 2 * p
-    reps = []
-    for i in range(1, count + 1):
-        gen = ExponentVector.unit(i)
-        mid = enclose(gen, Fraction(1, 8)).midpoint
-        shift = find_p_multiple_near(mid, shift_eps, p, i, bound)
-        if shift is None:
-            raise SearchExhausted(
-                f"no p-divisible shift found for generator {i} within bounds"
-            )
-        rep = gen - shift
-        if not certify_in_open_interval(rep, Fraction(-1), Fraction(1)):
-            raise SearchExhausted(
-                f"shifted representative for generator {i} not in (-1, 1)"
-            )
-        if rep.signature(p) != gen.signature(p):
-            raise DomainError("shift left the coset (internal error)")
-        reps.append(rep)
-    signatures = {r.signature(p) for r in reps}
-    if len(signatures) != count:
-        raise DomainError("coset representatives are not pairwise distinct")
-    return reps
+    return [ExponentVector.unit(i) for i in range(1, count + 1)]

@@ -162,23 +162,19 @@ def normalize_to_unital(
     Returns None when no monomial in the box works.
     """
     p = psi.phi.p
-    candidates = []
-    for b in range(0, search_bound + 1):
-        for a in range(-search_bound, search_bound + 1):
-            candidates.append((a, b))
     one = TateElem.constant(1, LaurentSeries.one(p))
-    hits = []
-    for a, b in candidates:
-        x = TateElem.monomial(1, (b,), LaurentSeries.t_power(p, a))
-        value = psi.apply(x)
-        if value == one:
-            return NormalizedSplitting(psi, x, value)
-        if value.terms and is_unit(value):
-            hits.append((x, value))
-    if hits:
-        x, value = hits[0]
-        return NormalizedSplitting(psi, x, value)
-    return None
+    first_unit = None
+    for b in range(search_bound + 1):
+        for a in range(-search_bound, search_bound + 1):
+            # t^a X^b in canonical form: integer exponent, coefficient 1.
+            x = TateElem(1, p, (((b,), LaurentSeries(p, 0, (a,), (1,))),))
+            value = psi.apply(x)
+            if value == one:
+                return NormalizedSplitting(psi, x, value)
+            # is_unit runs on every candidate, so its PrecisionError surfaces.
+            if value.terms and is_unit(value) and first_unit is None:
+                first_unit = NormalizedSplitting(psi, x, value)
+    return first_unit
 
 
 def frobenius_components(phi: SplittingMap, f: TateElem) -> dict:

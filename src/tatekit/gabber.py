@@ -1,27 +1,28 @@
 """Desk-scale model of the compositum field with finitely many cosets.
 
 The context fixes a prime p and a list of bounded coset representatives
-s_1, s_2, ... of the generator cosets (values in (-1, 1), pairwise
-distinct signatures mod p, strictly decreasing values).  Elements of the
-modeled field are finite Hahn sums whose exponents meet finitely many
-cosets of the p-divisible subgroup; the witness series truncations
-f_N = sum of t^(-s_i) stay at distance > 1 from every such element,
-which is the computable core of the non-density argument.  All norm
-comparisons are exact exponent comparisons.
+s_1, s_2, ... of the generator cosets: the generators themselves (values
+in (0, 1), pairwise distinct signatures mod p, strictly decreasing
+values).  Elements of the modeled field are finite Hahn sums whose
+exponents meet finitely many cosets of the p-divisible subgroup; the
+witness series truncations f_N = sum of t^(-s_i) stay at distance > 1
+from every such element, which is the computable core of the
+non-density argument.  All norm comparisons are exact exponent
+comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .exponents import (
     CosetSignature,
     ExponentVector,
     bounded_coset_representatives,
     compare,
 )
-from .field import HahnSum, _require_prime
+from .field import HahnSum
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,7 @@ class GabberContext:
 
 
 def build_context(p: int, count: int) -> GabberContext:
-    reps = bounded_coset_representatives(_require_prime(p), count)
-    for a, b in zip(reps, reps[1:]):
-        if compare(a, b) <= 0:
-            raise DomainError(
-                "representatives must have strictly decreasing values"
-            )
-    return GabberContext(p, tuple(reps))
+    return GabberContext(p, tuple(bounded_coset_representatives(p, count)))
 
 
 def signature_set(g: HahnSum, p: int) -> frozenset[CosetSignature]:
@@ -106,7 +101,8 @@ def distance_lower_bound_check(
     With i the least missing coset, the difference f_N - g keeps the
     term t^(-s_i), so its norm is at least e^(s_i); since every s_i is
     positive the norm strictly exceeds 1.  Both comparisons are exact
-    exponent comparisons and are recorded in the report.
+    exponent comparisons and are recorded in the report.  Raises
+    PrecisionError when the ball of g swallows every term of f_N - g.
     """
     i = missing_coset_index(ctx, g, upto)
     if i is None:
@@ -115,7 +111,9 @@ def distance_lower_bound_check(
     difference = witness - g
     norm = difference.norm()
     if not norm.is_finite:
-        raise DomainError("difference has no exact valuation (internal error)")
+        raise PrecisionError(
+            "undecidable-at-precision: the ball of g swallows the witness terms"
+        )
     bound = -ctx.rep(i)
     at_least_bound = compare(norm.exponent, bound) <= 0
     exceeds_one = compare(norm.exponent, ExponentVector.zero()) < 0

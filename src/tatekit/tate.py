@@ -77,7 +77,7 @@ class TateElem:
             if coeff.cutoff is not None:
                 raise DomainError("coefficients must be exact (no ball)")
             pairs.append((index, coeff))
-        if slack is not None and not (slack.is_zero or slack.is_finite or slack.is_bound):
+        if slack is not None and not isinstance(slack, NormValue):
             raise DomainError("slack must be a norm value")
         return _from_pairs(n, char, pairs, slack)
 
@@ -131,10 +131,6 @@ class TateElem:
 
     def __mul__(self, other: TateElem) -> TateElem:
         return _product(self, other, 1)
-
-    def scalar_mul(self, k: int) -> TateElem:
-        pairs = [(idx, c.scalar_mul(k)) for idx, c in self.terms]
-        return _from_pairs(self.n, self.char, pairs, self.slack)
 
     def map_coefficients(self, fn) -> TateElem:
         pairs = [(idx, fn(c)) for idx, c in self.terms]

@@ -8,7 +8,7 @@ import pytest
 from conftest import decimal_value_bounds
 from tatekit import exponents
 from tatekit.cli import main
-from tatekit.errors import SearchExhausted
+from tatekit.errors import DomainError
 from tatekit.exponents import (
     CosetSignature,
     ExponentVector,
@@ -117,6 +117,13 @@ def test_bounded_reps_single():
     assert bounded_coset_representatives(2, 1) == [E1]
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_bounded_reps_reject_non_prime(p):
+    # The prime check comes before the count check, as in build_context.
+    with pytest.raises(DomainError, match=f"^characteristic {p} is not prime$"):
+        bounded_coset_representatives(p, 0)
+
+
 def test_bounded_reps_distinct_mod_2():
     reps = bounded_coset_representatives(2, 2)
     assert reps[0].signature(2) != reps[1].signature(2)
@@ -134,9 +141,9 @@ def test_bounded_reps_postconditions(p):
 
 
 def test_bounded_reps_linear_in_count():
-    # Every generator's value already lies in (0, 1), so each shift is the
-    # radius-0 candidate, the zero vector; building it must not cost a
-    # count-long tuple and dict per generator (8000 took about 10 s then).
+    # The representatives are the generators themselves, whose values lie
+    # in (0, 1); building them must not cost a count-long tuple and dict
+    # per generator (8000 took about 10 s when a shift search ran).
     p, count = 2, 8000
     started = time.perf_counter()
     reps = bounded_coset_representatives(p, count)
@@ -180,15 +187,6 @@ def test_find_p_multiple_postconditions(rng):
         assert found.signature(p).is_zero
         iv = enclose(found, eps / 8)
         assert target - eps < iv.lo and iv.hi < target + eps
-
-
-def test_rep_shift_search_exhaustion_surfaces():
-    with pytest.raises(SearchExhausted):
-        # A zero coefficient bound leaves no shell with p-divisible entries
-        # near 1/sqrt(2) at the tiny eps, so the shift search must fail.
-        bounded_coset_representatives(
-            2, 1, shift_eps=Fraction(1, 10**9), shift_coeff_bound=0
-        )
 
 
 def test_nth_prime_sequence():

@@ -1,6 +1,6 @@
 import pytest
 
-from tatekit.errors import DomainError
+from tatekit.errors import DomainError, PrecisionError
 from tatekit.exponents import ExponentVector, compare
 from tatekit.field import HahnSum
 from tatekit.gabber import (
@@ -13,6 +13,7 @@ from tatekit.gabber import (
     value_group_witness,
     witness_truncation,
 )
+from tatekit.parsing import parse_hahn
 from tatekit.selftest import sample_exponent_vector, sample_hahn
 
 E1 = ExponentVector.unit(1)
@@ -114,6 +115,13 @@ class TestDistance:
         g = HahnSum.make(2, {-ctx.rep(i): 1 for i in (1, 2, 3)})
         with pytest.raises(DomainError):
             distance_lower_bound_check(ctx, g, 3)
+
+    @pytest.mark.parametrize("text", ["O(t^[1:-2])", "t^[3:1] + O(t^[1:-2])"])
+    def test_ball_swallowing_the_witness_is_undecidable(self, ctx, text):
+        # The cutoff -2/sqrt(2) lies below -s_1 and -s_2, so f_2 - g is a
+        # bare ball and its norm has no exact exponent to compare.
+        with pytest.raises(PrecisionError, match="^undecidable-at-precision: "):
+            distance_lower_bound_check(ctx, parse_hahn(text, 2), 2)
 
     def test_random_partial_coset_elements(self, ctx, rng):
         for _ in range(200):

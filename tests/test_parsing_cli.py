@@ -189,6 +189,26 @@ class TestCli:
         assert code == 0
         assert "i_g=1" in out and "pass=true" in out
 
+    @pytest.mark.parametrize("g", ["O(t^[1:-2])", "t^[3:1] + O(t^[1:-2])"])
+    def test_gabber_distance_undecidable_exit_code(self, g):
+        assert run_cli(["gabber", "distance", "--p", "2", "--N", "2", "--g", g]) == (
+            3, "", "error: undecidable-at-precision: the ball of g swallows the witness terms\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt,out",
+        [
+            ("text", "m_0 = 0\ncoeff_exp_0 = 0\nfloor_0 = 0\n"
+                     "m_1 = 1\ncoeff_exp_1 = -1\nfloor_1 = 1\n"),
+            ("records", "m_0=0\ncoeff_exp_0=0\nfloor_0=0\n"
+                        "m_1=1\ncoeff_exp_1=-1\nfloor_1=1\n"),
+        ],
+    )
+    def test_diag_select(self, norm_table, fmt, out):
+        argv = ["diag-select", "--table", norm_table, "--floors", "0,1",
+                "--count", "2", "--format", fmt]
+        assert run_cli(argv) == (0, out, "")
+
     def test_unit_undecidable_exit_code(self):
         code, out, err = run_cli(["unit", "--f", "O(e^-1)"])
         assert code == 3
@@ -375,6 +395,11 @@ class TestCliArgumentErrors:
         assert (code, out) == (1, "")
         assert err == "usage error: argument --n: expected a nonnegative integer, got '-3'\n"
 
+    def test_variable_beyond_arity(self):
+        assert run_cli(["norm", "--f", "X3", "--n", "2"]) == (
+            1, "", "syntax error: variable X3 exceeds arity 2 at line 1, column 1\n"
+        )
+
     def test_zero_arity(self):
         assert run_cli(["norm", "--f", "1", "--n", "0"]) == (0, "norm = e^0\n", "")
 
@@ -511,7 +536,11 @@ class TestCliRegistry:
         [([command], "the following arguments are required: ") for command in COMMANDS
          if command != "selftest"]
         # selftest has no required argument; an option without its value stands in.
-        + [(["selftest", "--trials"], "argument --trials: expected one argument")],
+        + [(["selftest", "--trials"], "argument --trials: expected one argument")]
+        # The gabber actions check their own arguments; the whole message is pinned.
+        + [(["gabber", "witness"], "gabber witness/distance needs --N\n"),
+           (["gabber", "distance", "--g", "0"], "gabber witness/distance needs --N\n"),
+           (["gabber", "distance", "--N", "2"], "gabber distance needs --g\n")],
     )
     def test_missing_argument_is_a_usage_error(self, argv, missing):
         code, out, err = run_cli(argv)

@@ -393,6 +393,16 @@ class TestOutsideInputChecks:
                 BackendMismatch,
                 "coefficient characteristic differs",
             ),
+            (
+                lambda: TateElem.make(1, 2, {}, "e^-3"),
+                DomainError,
+                "slack must be a norm value",
+            ),
+            (
+                lambda: TateElem.make(1, 2, {}, 3),
+                DomainError,
+                "slack must be a norm value",
+            ),
         ],
     )
     def test_rejected(self, build, error, message):
