@@ -16,7 +16,6 @@ from .exponents import (
     bounded_coset_representatives,
     compare,
     enclose,
-    find_p_multiple_near,
 )
 from .field import HahnSum, LaurentSeries, NormValue
 from .tate import (
@@ -55,7 +54,6 @@ __all__ = [
     "enclose",
     "euclid_degree",
     "find_distinguishing_automorphism",
-    "find_p_multiple_near",
     "gauss_norm",
     "is_unit",
     "project_kill_vars",

@@ -10,10 +10,8 @@ combination is irrational, and a norm argument bounds its distance to
 any rational (see _sign), so ordering is decidable by integer fixed-point
 enclosures refined until they exclude that rational.
 
-The coset structure modulo a prime p (coordinatewise reduction), the
-generators as bounded coset representatives, and a bounded search for
-group elements with all coordinates divisible by p near a rational
-target are also provided.
+The coset structure modulo a prime p (coordinatewise reduction) and the
+generators as bounded coset representatives are also provided.
 """
 
 from __future__ import annotations
@@ -86,13 +84,6 @@ class RealInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
-    def strictly_inside(self, lo: Fraction, hi: Fraction) -> bool:
-        """True when the whole interval sits in the open interval (lo, hi)."""
-        return lo < self.lo and self.hi < hi
-
 
 @dataclass(frozen=True)
 class CosetSignature:
@@ -143,12 +134,6 @@ class ExponentVector:
     def as_dict(self) -> dict[int, int]:
         return dict(self.coords)
 
-    def coefficient(self, index: int) -> int:
-        for i, c in self.coords:
-            if i == index:
-                return c
-        return 0
-
     def __add__(self, other: ExponentVector) -> ExponentVector:
         data = self.as_dict()
         for i, c in other.coords:
@@ -188,17 +173,12 @@ class ExponentVector:
 
     # Total order by real value.  Equality is coordinate equality; the
     # cached bounds decide almost every strict comparison, _sign the rest.
+    # a > b and a >= b run as the reflected b < a and b <= a.
     def __lt__(self, other: ExponentVector) -> bool:
         return compare(self, other) < 0
 
     def __le__(self, other: ExponentVector) -> bool:
         return compare(self, other) <= 0
-
-    def __gt__(self, other: ExponentVector) -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: ExponentVector) -> bool:
-        return compare(self, other) >= 0
 
     def __str__(self) -> str:
         inner = ", ".join(f"{i}:{c}" for i, c in self.coords)
@@ -279,47 +259,6 @@ def certify_in_open_interval(
     if vec.is_zero:
         return lo < 0 < hi
     return _sign(vec, lo) > 0 and _sign(vec, hi) < 0
-
-
-def find_p_multiple_near(
-    target: Fraction,
-    eps: Fraction,
-    p: int,
-    gen_count: int,
-    coeff_bound: int,
-) -> ExponentVector | None:
-    """Bounded search for a vector with all coordinates divisible by p whose
-    value is within eps of target, certified by interval enclosures.
-
-    Searches boxes of growing max-coordinate size (breadth first) over the
-    first gen_count generators with |coefficient| <= coeff_bound; within a
-    box shell candidates are tried in lexicographic coordinate order, so
-    the returned hit is the lexicographically smallest one in the first
-    shell containing any.  Returns None when the search space is exhausted.
-    """
-    target = Fraction(target)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    check_width = eps / 4
-    for radius in range(0, coeff_bound + 1, p):
-        if radius == 0:
-            shells = [()]
-        else:
-            choices = list(range(-radius, radius + 1, p))
-            shells = (
-                combo
-                for combo in itertools.product(choices, repeat=gen_count)
-                if max(abs(c) for c in combo) == radius
-            )
-        for combo in shells:
-            vec = ExponentVector.from_dict(
-                {i + 1: c for i, c in enumerate(combo) if c}
-            )
-            iv = enclose(vec, check_width)
-            if iv.strictly_inside(target - eps, target + eps):
-                return vec
-    return None
 
 
 def bounded_coset_representatives(p: int, count: int) -> list[ExponentVector]:

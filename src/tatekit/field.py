@@ -151,10 +151,6 @@ class NormValue:
         return NormValue(self.kind, self.exponent / p)
 
 
-def norm_max(a: NormValue, b: NormValue) -> NormValue:
-    return a if a.compare(b) >= 0 else b
-
-
 def _lattice_level(exponent: Fraction, p: int) -> int:
     """The e with exponent's denominator equal to p^e; at level e the
     exponent is the integer exponent.numerator."""
@@ -514,6 +510,16 @@ class LaurentSeries(_Series):
 
         Exact (no ball) when x is an exact monomial; otherwise y carries
         a cutoff so that the product identity holds at the target.
+
+        With x = c t^v (1 + u), y is c^-1 t^-v times s = sum (-u)^k,
+        truncated at tau - v: it reads only s's terms below tau and
+        min(tau, cutoff of s).  So each power drops its terms at or above
+        tau, keeping its ball, and y is what whole powers give.  u has
+        positive valuation, so a dropped term feeds only exponents above
+        tau.  The next product's ball, min(v*(power) + cut(u),
+        v*(u) + cut(power)) as in ``_product_cut``, changes only in its
+        first candidate when no term of power is below tau, and then that
+        candidate exceeds tau before and after.
         """
         if not self._exps:
             raise PrecisionError(
@@ -534,10 +540,16 @@ class LaurentSeries(_Series):
         rounds = max(
             1, -((-tau.numerator * p**u.level) // (tau.denominator * drop))
         )
+        # A power's level is at most u's; at level k its lattice ints
+        # from ceil(tau p^k) on lie at or above tau.
+        limits = [-(-tau * p**k // 1) for k in range(u.level + 1)]
         acc = _one(p)
         power = _one(p)
         for _ in range(1, rounds):
             power = power * (-u)
+            exps, level = power._exps, power.level
+            if (i := bisect_left(exps, limits[level])) < len(exps):
+                power = _reduced(p, level, exps[:i], power._coeffs[:i], power._cut)
             acc = acc + power
         y = acc * lead_inv
         bound = tau - self._fraction(self._exps[0])

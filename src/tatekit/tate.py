@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BackendMismatch, DomainError, PrecisionError, SearchExhausted
-from .field import NormValue, norm_max
+from .field import NormValue
 
 MultiIndex = tuple[int, ...]
 
@@ -118,7 +118,7 @@ class TateElem:
 
     def __add__(self, other: TateElem) -> TateElem:
         self._check_compatible(other)
-        slack = _largest(self.slack, other.slack)
+        slack = _largest((self.slack, other.slack))
         return _from_pairs(self.n, self.char, self.terms + other.terms, slack)
 
     def __neg__(self) -> TateElem:
@@ -170,36 +170,27 @@ def _product(a: TateElem, b: TateElem, m: int) -> TateElem:
     )
     candidates = []
     if a.slack is not None:
-        g = explicit_max_norm(c for _, c in b.terms)
-        if not g.is_zero:
+        g = _largest(c.norm() for _, c in b.terms)
+        if g is not None:
             candidates.append(a.slack * g)
     if b.slack is not None:
-        g = explicit_max_norm(c for _, c in a.terms)
-        if not g.is_zero:
+        g = _largest(c.norm() for _, c in a.terms)
+        if g is not None:
             candidates.append(b.slack * g)
     if a.slack is not None and b.slack is not None:
         candidates.append(a.slack * b.slack)
     if m != 1 and a.terms and b.terms:  # a * b's first pair raises on mixed backends
         a.terms[0][1]._check_compatible(b.terms[0][1])
-    return _from_pairs(a.n, a.char, pairs, _largest(*candidates))
+    return _from_pairs(a.n, a.char, pairs, _largest(candidates))
 
 
-def _largest(*norms: NormValue | None) -> NormValue | None:
-    """The largest of the norms given, skipping None (None if all are)."""
+def _largest(norms) -> NormValue | None:
+    """The largest of an iterable of norms, skipping None (None if all
+    are); the first of equal norms wins."""
     best = None
     for norm in norms:
-        if norm is not None:
-            best = norm if best is None else norm_max(best, norm)
-    return best
-
-
-def explicit_max_norm(coeffs) -> NormValue:
-    """Largest norm among an iterable of coefficients (0 when empty)."""
-    best = NormValue.zero()
-    for c in coeffs:
-        n = c.norm()
-        if best.is_zero or n.compare(best) > 0:
-            best = n
+        if norm is not None and (best is None or norm.compare(best) > 0):
+            best = norm
     return best
 
 
@@ -208,7 +199,7 @@ def gauss_norm(f: TateElem) -> NormValue:
     nonempty (normalization folds dominated coefficients into slack);
     a slack-only element yields only an upper bound."""
     if f.terms:
-        return explicit_max_norm(c for _, c in f.terms)
+        return _largest(c.norm() for _, c in f.terms)
     if f.slack is None:
         return NormValue.zero()
     return NormValue.at_most(f.slack.exponent)
@@ -267,7 +258,7 @@ def distinguished_order(g: TateElem, axis: int | None = None) -> DistinguishedRe
         raise DomainError("zero-input: the zero series has no distinguished order")
     coeffs = _coefficients_along(g, axis)
     norms = {k: gauss_norm(c) for k, c in coeffs.items()}
-    total = _largest(*norms.values())
+    total = _largest(norms.values())
     order = max(k for k, n in norms.items() if n.compare(total) == 0)
     return DistinguishedReport(order, total, is_unit(coeffs[order]))
 
@@ -280,7 +271,7 @@ def euclid_degree(f: TateElem) -> int:
         raise DomainError("the Euclidean degree needs an exact element")
     if not f.terms:
         raise DomainError("zero-input: the zero series has no degree")
-    total = explicit_max_norm(c for _, c in f.terms)
+    total = _largest(c.norm() for _, c in f.terms)
     return max(idx[0] for idx, c in f.terms if c.norm().compare(total) == 0)
 
 

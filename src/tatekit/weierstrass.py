@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DomainError, PrecisionError
 from .field import LaurentSeries, NormValue, _canonical, _denominator_level, _product
-from .tate import TateElem, _from_pairs, euclid_degree, explicit_max_norm, gauss_norm
+from .tate import TateElem, _from_pairs, _largest, euclid_degree, gauss_norm
 
 
 def _require_exact_t1(f: TateElem, name: str) -> None:
@@ -87,8 +87,8 @@ def divide(
     inv_dominant = gh[order].inverse(kappa).explicit_part()
 
     contraction = kappa
-    tail_norm = explicit_max_norm(c for d, c in gh.items() if d > order)
-    if not tail_norm.is_zero:
+    tail_norm = _largest(c.norm() for d, c in gh.items() if d > order)
+    if tail_norm is not None:
         contraction = min(contraction, tail_norm.exponent)
     cap = max(0, math.ceil((tau - floor_exp) / contraction))
 
@@ -157,11 +157,8 @@ def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:
     while b.terms:
         _, r = divide(a, b, target_slack)
         r_explicit = _from_pairs(1, p, r.terms)
-        if (
-            r_explicit.terms
-            and explicit_max_norm(c for _, c in r_explicit.terms).compare(target_slack)
-            <= 0
-        ):
+        largest = _largest(c.norm() for _, c in r_explicit.terms)
+        if largest is not None and largest.compare(target_slack) <= 0:
             r_explicit = TateElem.zero(1, p)
         a, b = b, r_explicit
     d = a

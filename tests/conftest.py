@@ -1,7 +1,5 @@
 import os
 import random
-from decimal import Decimal, getcontext
-from fractions import Fraction
 
 import pytest
 
@@ -11,30 +9,3 @@ SEED = int(os.environ.get("TATEKIT_SEED", "20260810"))
 @pytest.fixture
 def rng():
     return random.Random(SEED)
-
-
-def decimal_sqrt_bounds(n: int, prec: int = 45) -> tuple[Fraction, Fraction]:
-    """Independent enclosure of sqrt(n) via correctly rounded Decimal sqrt."""
-    getcontext().prec = prec
-    d = Decimal(n).sqrt()
-    center = Fraction(str(d))
-    slop = Fraction(1, 10 ** (prec - 5))
-    return center - slop, center + slop
-
-
-def decimal_value_bounds(coords: dict[int, int]) -> tuple[Fraction, Fraction]:
-    """Independent enclosure of sum(c / sqrt(q_i)) for the test oracles."""
-    from tatekit.exponents import nth_prime
-
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for index, coeff in coords.items():
-        q = nth_prime(index)
-        slo, shi = decimal_sqrt_bounds(q)
-        if coeff > 0:
-            lo += Fraction(coeff, q) * slo
-            hi += Fraction(coeff, q) * shi
-        else:
-            lo += Fraction(coeff, q) * shi
-            hi += Fraction(coeff, q) * slo
-    return lo, hi

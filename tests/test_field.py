@@ -1,3 +1,4 @@
+import math
 import pickle
 from fractions import Fraction
 
@@ -83,6 +84,27 @@ class TestValuation:
         assert LaurentSeries.zero(7).norm().is_zero
 
 
+def untruncated_inverse(x, tau):
+    """The geometric series sum (-u)^k of x = c t^v (1 + u) with every
+    power kept whole, truncated once at the end: the reference for
+    ``inverse``, which cuts each power at tau."""
+    p = x.p
+    v, c = x.terms[0]
+    lead_inv = LaurentSeries.t_power(p, -v, pow(c, -1, p))
+    u = x * lead_inv - LaurentSeries.one(p)
+    if u.is_zero:
+        return lead_inv
+    drop = u.terms[0][0] if u.terms else u.cutoff
+    acc = power = LaurentSeries.one(p)
+    for _ in range(1, max(1, math.ceil(tau / drop))):
+        power = power * (-u)
+        acc = acc + power
+    y, bound = acc * lead_inv, tau - v
+    if y.cutoff is not None and y.cutoff <= bound:
+        return y
+    return LaurentSeries.make(p, [(e, a) for e, a in y.terms if e < bound], bound)
+
+
 class TestInverse:
     def test_monomial_exact(self):
         t = LaurentSeries.t_power(5, 1)
@@ -114,6 +136,25 @@ class TestInverse:
             residual = x * y - LaurentSeries.one(p)
             v = residual.norm()
             assert v.is_zero or v.exponent >= tau
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_the_untruncated_loop(self, rng, p):
+        for _ in range(100):
+            # c t^v (1 + up to four terms in (0, 4]) at level 0..2, with a
+            # ball on a third of the draws.
+            den = p ** rng.randint(0, 2)
+            v = Fraction(rng.randint(-6, 6), den)
+            terms = {v + Fraction(rng.randint(1, 4 * den), den): rng.randint(1, p - 1)
+                     for _ in range(rng.randint(1, 4))}
+            terms[v] = rng.randint(1, p - 1)
+            cutoff = None
+            if rng.random() < 1 / 3:
+                cutoff = v + Fraction(rng.randint(1, 6 * den), den)
+            x = LaurentSeries.make(p, terms, cutoff)
+            # Targets off the lattice (denominator 7) raise in both.
+            d = rng.choice([1, p, 7])
+            tau = Fraction(rng.randint(1, 10 * d), d)
+            assert outcome(x.inverse, tau) == outcome(untruncated_inverse, x, tau)
 
 
 class TestFrobeniusAndRoot:
@@ -213,6 +254,19 @@ class TestNorm:
         assert (small * big) == NormValue.finite(Fraction(2))
         assert (zero * bound) == zero
         assert (bound * small).is_bound
+
+    def test_hahn_bound_against_finite_both_orders(self):
+        # compare tests bound.exponent > finite.exponent, which the
+        # exponent vectors answer with the reflected <.
+        bound = NormValue.at_most(E1)  # <= e^-(1/sqrt 2)
+        big = NormValue.finite(E2)  # e^-(1/sqrt 3), larger
+        small = NormValue.finite(E1.scale(2))  # e^-(2/sqrt 2), smaller
+        assert bound.compare(big) == -1 and big.compare(bound) == 1
+        for finite in (small, NormValue.finite(E1)):
+            with pytest.raises(PrecisionError):
+                bound.compare(finite)
+            with pytest.raises(PrecisionError):
+                finite.compare(bound)
 
     def test_ball_only_norm_is_upper_bound(self):
         x = L(5, {}, cutoff=3)

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tatekit
 from tatekit.cli import main
 from tatekit.errors import ParseError
 from tatekit.exponents import ExponentVector
@@ -546,3 +551,30 @@ class TestCliRegistry:
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"usage error: {missing}")
+
+
+def run_process(argv):
+    """``python -W error -m tatekit.cli`` in a child that imports the same
+    tatekit as this process; returns (exit code, stdout bytes, stderr bytes)."""
+    path = [str(Path(tatekit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tatekit.cli", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestCliProcess:
+    """The module run as a program: ``entry_point`` turns main's code into
+    the process exit status, and the streams carry the same bytes."""
+
+    def test_readme_divide_example(self):
+        argv = ["divide", "--f", "X^2", "--g", "X + [-1]*[t]", "--slack", "e^-6"]
+        assert run_process(argv) == (0, b"q = X + [t]\nr = [t^2]\n", b"")
+
+    def test_ball_swallowing_the_witness_exits_3(self):
+        argv = ["gabber", "distance", "--p", "2", "--N", "2", "--g", "O(t^[1:-2])"]
+        assert run_process(argv) == (
+            3, b"", b"error: undecidable-at-precision: the ball of g swallows the witness terms\n"
+        )

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import SEED
 from tatekit.errors import DomainError
 from tatekit.field import LaurentSeries, NormValue
-from tatekit.parsing import format_tate
+from tatekit.parsing import format_tate, parse_tate
 from tatekit.tate import TateElem, euclid_degree, gauss_norm
 from tatekit.weierstrass import divide, gcd
 
@@ -196,6 +197,17 @@ class TestGcd:
     def test_zero_pair_rejected(self):
         with pytest.raises(DomainError):
             gcd(TateElem.zero(1, 3), TateElem.zero(1, 3), TARGET)
+
+    def test_long_remainder_chain_within_time(self):
+        # The chain's inverses sum geometric series of 8 and more rounds.
+        # With each power cut at the target this takes about 2.5 s on a
+        # 2-vCPU x86-64 host with Python 3.11, and 7.4 s with whole powers.
+        p = 5
+        f = parse_tate("[3*t + 4*t^4]X^4 + [3*t + 2*t^3]X^3 + [4]X^2", p)
+        g = parse_tate("[2*t^2]X^6 + [2*t + 3*t^3]X^4 + [3*t^2]X^2 + [t + 4*t^3]X", p)
+        started = time.perf_counter()
+        assert format_tate(gcd(f, g, TARGET)) == "X + O(e^-10)"
+        assert time.perf_counter() - started < 4
 
     def test_divides_both_within_slack(self):
         rng = random.Random(SEED + 1)
