@@ -234,14 +234,11 @@ def _selftest(args):
             seed = int(text)
         except ValueError:
             raise _UsageError(f"TATEKIT_SEED: expected an integer, got {text!r}") from None
-    records = []
-    total_failures = 0
-    for result in selftest.run_all(seed, args.trials):
-        passed = result.trials - result.failures
-        records.append((f"suite_{result.name}", f"{passed}/{result.trials}"))
-        total_failures += result.failures
-    records.append(("result", "pass" if total_failures == 0 else "fail"))
-    return records, 0 if total_failures == 0 else 2
+    results = selftest.run_all(seed, args.trials)
+    records = [(f"suite_{name}", f"{args.trials - failed}/{args.trials}") for name, failed in results]
+    healthy = not any(failed for _, failed in results)
+    records.append(("result", "pass" if healthy else "fail"))
+    return records, 0 if healthy else 2
 
 
 def _build_parser() -> _Parser:

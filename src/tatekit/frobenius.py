@@ -157,9 +157,9 @@ def normalize_to_unital(
     """Bounded monomial search making the composed map send 1 to 1.
 
     Scans x = t^a X^b with |a| <= bound, 0 <= b <= bound, preferring an
-    x with psi(x) exactly 1 (no division needed) before settling for any
-    x whose image is a unit; the result is psi(x * -) divided by psi(x).
-    Returns None when no monomial in the box works.
+    x with psi(x) exactly 1 before any x whose image is a unit; the
+    result is psi(x * -) divided by psi(x), a division that runs even
+    when psi(x) is 1.  Returns None when no monomial in the box works.
     """
     p = psi.phi.p
     one = TateElem.constant(1, LaurentSeries.one(p))

@@ -306,10 +306,11 @@ def _parse_tate_term(sc: _Scanner, p: int):
             if not saw_factor:
                 sc.error("expected a coefficient or monomial")
             break
-        if sc.try_consume("*"):
-            continue
+        starred = sc.try_consume("*")
         if sc.peek() in ("[", "X"):
             continue
+        if starred:
+            sc.error("expected a coefficient or monomial")
         break
     return coeff, exponents
 

@@ -186,6 +186,18 @@ class TestFrobeniusAndRoot:
         y = HahnSum.t_power(2, E1.scale(2))
         assert y.pth_root() == HahnSum.t_power(2, E1)
 
+    def test_hahn_root_halves_the_cutoff(self):
+        x = HahnSum.make(2, {E1.scale(2): 1}, cutoff=E1.scale(4))  # t^[1:2] + O(t^[1:4])
+        root = x.pth_root()
+        assert root == HahnSum.make(2, {E1: 1}, cutoff=E1.scale(2))
+        assert root.frobenius() == x
+
+    def test_hahn_root_requires_divisible_cutoff(self):
+        x = HahnSum.make(2, {E1.scale(2): 1}, cutoff=E1.scale(3))
+        with pytest.raises(DomainError) as info:
+            x.pth_root()
+        assert str(info.value) == "not-a-pth-power: cutoff outside the p-divisible subgroup"
+
     def test_roundtrip(self, rng):
         for _ in range(100):
             p = rng.choice([2, 3, 5])
@@ -267,6 +279,26 @@ class TestNorm:
                 bound.compare(finite)
             with pytest.raises(PrecisionError):
                 finite.compare(bound)
+
+    def test_undecidable_bound_comparisons(self):
+        with pytest.raises(PrecisionError):
+            NormValue.zero().compare(NormValue.at_most(Fraction(1)))
+        with pytest.raises(PrecisionError):
+            NormValue.at_most(Fraction(1)).compare(NormValue.at_most(Fraction(2)))
+
+    def test_backends_do_not_mix(self):
+        laurent = NormValue.finite(Fraction(1))
+        hahn = NormValue.finite(E1)
+        for left, right in ((laurent, hahn), (hahn, laurent)):
+            with pytest.raises(BackendMismatch, match="norms from different backends"):
+                left.compare(right)
+            with pytest.raises(BackendMismatch, match="norms from different backends"):
+                left * right
+
+    def test_root(self):
+        assert NormValue.zero().root(2) == NormValue.zero()
+        with pytest.raises(DomainError):
+            NormValue.finite(E1).root(2)
 
     def test_ball_only_norm_is_upper_bound(self):
         x = L(5, {}, cutoff=3)

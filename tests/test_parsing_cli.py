@@ -260,6 +260,21 @@ class TestCli:
         assert first[0] == 0
         assert first[1].endswith("result=pass\n")
 
+    def test_selftest_counts_each_failing_trial_once(self, monkeypatch):
+        # A broken exponent order breaks several checks of one trial; the
+        # report still counts trials, so each suite reads k/5 with 0 <= k <= 5.
+        import tatekit.selftest
+
+        monkeypatch.setattr(tatekit.selftest, "compare", lambda a, b: 0)
+        code, out, err = run_cli(["selftest", "--trials", "5", "--seed", "1"])
+        records = dict(line.split(" = ") for line in out.splitlines())
+        assert (code, err, records.pop("result")) == (2, "", "fail")
+        assert len(records) == 5
+        for key, value in records.items():
+            passed, trials = map(int, value.split("/"))
+            assert key.startswith("suite_") and trials == 5 and 0 <= passed <= 5, (key, value)
+        assert int(records["suite_exponent-order"].split("/")[0]) < 5
+
     def test_norm_and_degree(self):
         code, out, _ = run_cli(["norm", "--f", "[t]X + [t^3]", "--format", "records"])
         assert code == 0 and out == "norm=e^-1\n"
@@ -339,6 +354,12 @@ class TestFieldGrammar:
             (parse_hahn, "t^[1:1] + O(t^[ 0:1])", 17, "generator indices are 1-based"),
             (parse_hahn, "1 +", 4, "expected a term"),
             (parse_hahn, "t^[1:1] t", 9, "unexpected trailing input"),
+            (parse_tate, "X*", 3, "expected a coefficient or monomial"),
+            (parse_tate, "X* + 1", 4, "expected a coefficient or monomial"),
+            (parse_tate, "[t]*", 5, "expected a coefficient or monomial"),
+            (parse_tate, "2*", 3, "expected a coefficient or monomial"),
+            (parse_tate, "X1*X2*", 7, "expected a coefficient or monomial"),
+            (parse_tate, "X*2", 3, "expected a coefficient or monomial"),
         ],
     )
     def test_malformed_literal(self, parse, text, column, message):

@@ -249,6 +249,45 @@ class TestFindAutomorphism:
         spec = find_distinguishing_automorphism([TateElem.constant(2, t(p))])
         assert spec.exponents == (0,)
 
+    def test_one_variable_needs_no_shear(self):
+        p = 5
+        f = TateElem.make(1, p, {(1,): one(p), (0,): t(p)})
+        assert find_distinguishing_automorphism([f]).exponents == ()
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["automorph", "--f", "X + [t]"], out, err)
+        assert (code, out.getvalue(), err.getvalue()) == (0, "alphas = \n", "")
+
+    @pytest.mark.parametrize(
+        "gs,error,message",
+        [
+            ([], DomainError, "need at least one series"),
+            (
+                [TateElem.monomial(1, (1,), one(5)), TateElem.monomial(2, (1, 0), one(5))],
+                BackendMismatch,
+                "series from different algebras",
+            ),
+            (
+                [TateElem.make(1, 5, {(1,): one(5)}, NormValue.at_most(Fraction(1)))],
+                DomainError,
+                "search needs exact elements",
+            ),
+            ([TateElem.zero(2, 5)], DomainError, "zero-input: zero is never distinguished"),
+        ],
+    )
+    def test_input_errors(self, gs, error, message):
+        with pytest.raises(error) as info:
+            find_distinguishing_automorphism(gs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "f,message",
+        [("X + O(e^1)", "search needs exact elements"), ("0", "zero-input: zero is never distinguished")],
+    )
+    def test_cli_input_errors_exit_2(self, f, message):
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["automorph", "--f", f], out, err)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+
     def test_search_memory_is_bounded(self):
         # X1^40 + X2 + X3 is distinguished as it stands, so the first
         # candidate (0, 0) wins; the other 2 + 40^3 must not be built.
