@@ -19,13 +19,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt, prod
 
 from .errors import DomainError
 
-# Precision of the per-vector cached bounds that shortcut comparisons.
+# Precision of the per-vector cached bounds that shortcut comparisons;
+# the per-generator constants they are summed from carry spare bits.
 _FAST_BITS = 80
+_SPARE_BITS = 128
+_TABLE_BITS = _FAST_BITS + _SPARE_BITS
+
+# Most generators whose constants _inv_root keeps at once; an evicted
+# constant is computed again when asked for.
+_TABLE_SIZE = 1024
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -67,6 +74,14 @@ def _extend_primes() -> None:
         first = -n % q
         sieve[first::q] = bytes(len(range(first, n, q)))
     _PRIMES.extend(itertools.compress(range(n, 2 * n), sieve))
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _inv_root(i: int) -> int:
+    """K_i = floor(2^_TABLE_BITS / sqrt(q_i)), q_i = nth_prime(i), as
+    isqrt(floor(4^_TABLE_BITS / q_i)): floor(sqrt(floor(x))) = floor(sqrt(x))
+    for x >= 0."""
+    return isqrt((1 << 2 * _TABLE_BITS) // nth_prime(i))
 
 
 @dataclass(frozen=True)
@@ -164,12 +179,28 @@ class ExponentVector:
 
     @cached_property
     def _fast_bounds(self) -> tuple[int, int]:
-        # lo <= value * 2^_FAST_BITS <= hi; the extra bits cover the
-        # weight sum(|c|/q), so hi - lo <= 3 whatever the coefficients.
-        extra = sum(abs(c) for _, c in self.coords).bit_length()
-        lo, hi, den = _bounds(self, _FAST_BITS + extra)
-        q = den >> _FAST_BITS
-        return lo // q, -(-hi // q)
+        """Integers lo <= value * 2^_FAST_BITS <= hi, from the constants
+        K_i of _inv_root.
+
+        K_i <= 2^T / sqrt(q_i) < K_i + 1 with T = _TABLE_BITS, so each
+        c / sqrt(q_i) * 2^T lies between c * K_i and c * (K_i + 1): in
+        that order for c > 0, reversed for c < 0.  Summed, LO <= value *
+        2^T <= HI with HI - LO = S = sum|c|.  With m = 2^_SPARE_BITS,
+        lo = floor(LO / m) and hi = ceil(HI / m) enclose value *
+        2^_FAST_BITS, and hi - lo < S / m + 2, so hi - lo <= 1 + ceil(S / m):
+        at most 2 while S <= m = 2^128.  Wider intervals, for larger
+        coefficients, only send more comparisons on to _sign.
+        """
+        lo = hi = 0
+        for i, c in self.coords:
+            t = c * _inv_root(i)
+            if c > 0:
+                lo += t
+                hi += t + c
+            else:
+                lo += t + c
+                hi += t
+        return lo >> _SPARE_BITS, -(-hi >> _SPARE_BITS)
 
     # Total order by real value.  Equality is coordinate equality; the
     # cached bounds decide almost every strict comparison, _sign the rest.

@@ -103,11 +103,19 @@ def distance_lower_bound_check(
     positive the norm strictly exceeds 1.  Both comparisons are exact
     exponent comparisons and are recorded in the report.  Raises
     PrecisionError when the ball of g swallows every term of f_N - g.
+
+    Only f_K, K = min(N, len(g.terms) + 1), is built, and f_K - g has
+    the norm of f_N - g.  If K < N, at most len(g.terms) < K witness
+    terms cancel against g, so some t^(-s_j) with j <= K survives in
+    both differences.  They differ by the terms t^(-s_i), i > K, whose
+    exponents exceed -s_j.  If -s_j lies below g's cutoff, both have the
+    same least exponent, at most -s_j; if not, every differing term lies
+    at or past the cutoff, so the two sums are equal.
     """
     i = missing_coset_index(ctx, g, upto)
     if i is None:
         raise DomainError("all witness cosets are present in g")
-    witness = witness_truncation(ctx, upto)
+    witness = witness_truncation(ctx, min(upto, len(g.terms) + 1))
     difference = witness - g
     norm = difference.norm()
     if not norm.is_finite:

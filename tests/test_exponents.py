@@ -1,3 +1,4 @@
+import decimal
 import io
 import time
 from fractions import Fraction
@@ -147,6 +148,66 @@ def test_translation_invariance(rng):
         assert compare(a + c, b + c) == compare(a, b)
 
 
+# The cached enclosure _fast_bounds against values computed with decimal
+# square roots at 250 digits: with coefficients below 2^141, the scaled
+# sum is off by less than 10^-160, inside the margin allowed below.
+
+
+def assert_encloses(vec, lo, hi):
+    """lo <= value * 2^_FAST_BITS <= hi, checked with decimal roots."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 250
+        value = sum(
+            decimal.Decimal(c) / decimal.Decimal(nth_prime(i)).sqrt()
+            for i, c in vec.coords
+        ) * 2**exponents._FAST_BITS
+        error = decimal.Decimal(10) ** -150
+        assert lo <= value - error and value + error <= hi
+
+
+def draw_cached_vector(rng):
+    indices = [rng.randint(1, 40), rng.randint(1000, 1100), exponents._TABLE_SIZE + 7]
+    support = set(rng.sample(indices + list(range(1, 6)), k=rng.randint(1, 5)))
+    return ExponentVector.from_dict(
+        {
+            i: rng.choice([-1, 1]) * rng.randint(1, 1 << rng.choice([3, 20, 64, 70, 100, 128, 140]))
+            for i in support
+        }
+    )
+
+
+def test_fast_bounds_enclose_the_value(rng):
+    narrow = wide = 0
+    for _ in range(400):
+        vec = draw_cached_vector(rng)
+        lo, hi = vec._fast_bounds
+        assert_encloses(vec, lo, hi)
+        weight = sum(abs(c) for _, c in vec.coords)
+        spare = exponents._SPARE_BITS
+        assert hi - lo <= 1 + -(-weight >> spare)
+        if weight <= 2**spare:
+            assert hi - lo <= 2
+            narrow += weight > 2**64
+        else:
+            wide += 1
+    assert narrow >= 50 and wide >= 50
+
+
+def test_fast_bounds_table_is_bounded(monkeypatch):
+    size = exponents._TABLE_SIZE
+    for i in range(1, size + 50):
+        ExponentVector.unit(i, -3)._fast_bounds
+    assert exponents._inv_root.cache_info().currsize <= size
+    # With the constants in the table, no root, prime or product is
+    # computed for a new vector.
+    for name in ["isqrt", "nth_prime", "prod"]:
+        monkeypatch.setattr(exponents, name, None)
+    vec = ExponentVector.from_dict({i: 2**70 - i for i in range(size, size + 49)})
+    lo, hi = vec._fast_bounds
+    monkeypatch.undo()
+    assert_encloses(vec, lo, hi)
+
+
 def test_nth_prime_sequence():
     assert [nth_prime(i) for i in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -220,6 +281,37 @@ def test_compare_near_cancelling_convergents(bits, shift):
     assert compare(u, v) == expected
     assert compare(v, u) == -expected
     assert (u < v) == (expected < 0)
+
+
+class RefinementCalled(Exception):
+    pass
+
+
+def refuse_refinement(vec, r):
+    raise RefinementCalled
+
+
+@pytest.mark.parametrize("bits", [56, 64, 76])
+@pytest.mark.parametrize("shift", [{}, {3: 1}, {3: -7, 5: 2}])
+def test_cached_bounds_decide_near_cancelling_pairs(monkeypatch, bits, shift):
+    # The 2^-80 cached enclosures alone separate pairs up to 76 bits.
+    a, b = near_cancelling_pair(bits)
+    expected = (3 * a * a > 2 * b * b) - (3 * a * a < 2 * b * b)
+    u = ExponentVector.from_dict({1: a, **shift})
+    v = ExponentVector.from_dict({2: b, **shift})
+    monkeypatch.setattr(exponents, "_sign", refuse_refinement)
+    assert compare(u, v) == expected
+    assert compare(v, u) == -expected
+
+
+@pytest.mark.parametrize("bits", [84, 100])
+def test_closer_pairs_reach_refinement(monkeypatch, bits):
+    # These differ by less than 2^-80, which no cached enclosure can
+    # separate.
+    a, b = near_cancelling_pair(bits)
+    monkeypatch.setattr(exponents, "_sign", refuse_refinement)
+    with pytest.raises(RefinementCalled):
+        compare(ExponentVector.unit(1, a), ExponentVector.unit(2, b))
 
 
 def test_certify_at_a_convergent_endpoint():

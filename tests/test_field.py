@@ -1,14 +1,18 @@
+import hashlib
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 from tatekit.errors import BackendMismatch, DomainError, PrecisionError
-from tatekit.exponents import ExponentVector
+from tatekit.exponents import ExponentVector, compare
 from tatekit.field import HahnSum, LaurentSeries, NormValue
 from tatekit.frobenius import phi_standard
-from tatekit.selftest import sample_hahn, sample_laurent
+from tatekit.parsing import format_norm_value
+from tatekit.selftest import sample_exponent_vector, sample_hahn, sample_laurent
+from test_exponents import sqrt_convergents
 
 E1 = ExponentVector.unit(1)
 E2 = ExponentVector.unit(2)
@@ -612,3 +616,49 @@ class TestBackendsAgree:
             for x, h in zip(xs, hs):
                 assert h.norm() == norm_image(x.norm())
                 assert outcome(h.residue) == outcome(x.residue)
+
+
+# sha256 of the printed answers below, recorded before the cached
+# exponent bounds came from a table of constants per generator.
+HAHN_PINNED_DIGEST = "4ccd9984aacbf5d499d433b9026f6373bdb823ec72420efe24bc95559c8b7939"
+
+
+def test_hahn_answers_pinned():
+    # A fixed seed, not SEED: the digest pins these very inputs.
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+
+    def wide(rng):
+        # Up to 12 generators and coefficients of up to 90 bits.
+        support = rng.sample(range(1, 13), k=rng.randint(1, 4))
+        return ExponentVector.from_dict(
+            {i: rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 90)) for i in support}
+        )
+
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        x, y = sample_hahn(rng, p), sample_hahn(rng, p)
+        if rng.random() < 0.3:
+            x = x + HahnSum.ball(p, sample_exponent_vector(rng))
+        total, product = x + y, x * y
+        a, b = sample_exponent_vector(rng, max_index=6), wide(rng)
+        printed = [
+            str(total),
+            str(product),
+            format_norm_value(total.norm()),
+            format_norm_value(product.norm()),
+            compare(a, b),
+            compare(b, a + b),
+        ]
+        digest.update(f"{printed}\n".encode())
+    # h/sqrt(2) - 3k/sqrt(3) is tiny for the convergents h/k of sqrt(6).
+    for h, k in sqrt_convergents(6):
+        a, b = h, 3 * k
+        if max(a, b).bit_length() > 200:
+            break
+        for shift in [{}, {3: 1}, {3: -7, 5: 2}]:
+            u = ExponentVector.from_dict({1: a, **shift})
+            v = ExponentVector.from_dict({2: b, **shift})
+            printed = [compare(u, v), str(HahnSum.make(2, {u: 1, v: 1}))]
+            digest.update(f"{printed}\n".encode())
+    assert digest.hexdigest() == HAHN_PINNED_DIGEST

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 from tatekit.errors import DomainError, PrecisionError
@@ -135,6 +138,77 @@ class TestDistance:
             report = distance_lower_bound_check(ctx, g, 4)
             assert report.passed
             assert compare(report.actual_exponent, ExponentVector.zero()) < 0
+
+
+class TestWitnessCut:
+    """The check builds the witness only as far as its answer needs."""
+
+    @pytest.fixture(scope="class")
+    def big_ctx(self):
+        return build_context(2, 20000)
+
+    @pytest.mark.parametrize("text", ["0", "t^[1:-1] + t^[2:-1]"])
+    def test_memory_bounded_by_g_not_n(self, big_ctx, text):
+        # Building all 20,000 witness terms peaks at several MB.
+        g = parse_hahn(text, 2)
+        tracemalloc.start()
+        try:
+            report = distance_lower_bound_check(big_ctx, g, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert report.actual_exponent == -big_ctx.rep(len(g.terms) + 1)
+        assert peak < 200_000
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_the_whole_witness(self, p):
+        # Oracle: the norm of f_N - g with every witness term built, and
+        # the least missing coset by a scan written here.
+        rng = random.Random(p)
+        ctx = build_context(p, 12)
+        decided = undecidable = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            terms = {}
+            for i in rng.sample(range(1, 13), k=rng.randint(0, 6)):
+                # Mostly the witness term itself, often with coefficient 1
+                # so that it cancels; else another member of its coset.
+                shift = ExponentVector.zero()
+                if rng.random() < 0.3:
+                    shift = sample_exponent_vector(rng, max_index=3, max_coeff=2).scale(p)
+                terms[-ctx.rep(i) + shift] = 1 if rng.random() < 0.7 else rng.randint(1, p - 1)
+            if rng.random() < 0.3:
+                terms[sample_exponent_vector(rng)] = rng.randint(1, p - 1)
+            cutoff = None
+            if rng.random() < 0.4:
+                cutoff = -ctx.rep(rng.randint(1, 12))
+                if rng.random() < 0.5:
+                    cutoff = cutoff + sample_exponent_vector(rng, max_index=2, max_coeff=1)
+            g = HahnSum.make(p, terms, cutoff)
+            present = {e.signature(p) for e, _ in g.terms}
+            missing = [i for i in range(1, n + 1) if (-ctx.rep(i)).signature(p) not in present]
+            if not missing:
+                with pytest.raises(DomainError):
+                    distance_lower_bound_check(ctx, g, n)
+                continue
+            norm = (witness_truncation(ctx, n) - g).norm()
+            if not norm.is_finite:
+                undecidable += 1
+                with pytest.raises(PrecisionError):
+                    distance_lower_bound_check(ctx, g, n)
+                continue
+            decided += 1
+            report = distance_lower_bound_check(ctx, g, n)
+            bound = -ctx.rep(missing[0])
+            assert report.missing_index == missing[0]
+            assert report.bound_exponent == bound
+            assert report.actual_exponent == norm.exponent
+            assert report.passed == (
+                compare(norm.exponent, bound) <= 0
+                and compare(norm.exponent, ExponentVector.zero()) < 0
+            )
+        assert decided >= 100 and undecidable >= 5
 
 
 class TestWitnessElements:
