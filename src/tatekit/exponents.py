@@ -20,18 +20,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, prod
+from math import isqrt
 
 from .errors import DomainError
 
-# Precision of the per-vector cached bounds that shortcut comparisons;
-# the per-generator constants they are summed from carry spare bits.
-_FAST_BITS = 80
-_SPARE_BITS = 128
-_TABLE_BITS = _FAST_BITS + _SPARE_BITS
+# Precision of the cached bounds and of _sign's first round.
+_TABLE_BITS = 208
 
-# Most generators whose constants _inv_root keeps at once; an evicted
-# constant is computed again when asked for.
+# Most constants _inv_root keeps at once; an evicted one is computed again.
 _TABLE_SIZE = 1024
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -77,11 +73,10 @@ def _extend_primes() -> None:
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _inv_root(i: int) -> int:
-    """K_i = floor(2^_TABLE_BITS / sqrt(q_i)), q_i = nth_prime(i), as
-    isqrt(floor(4^_TABLE_BITS / q_i)): floor(sqrt(floor(x))) = floor(sqrt(x))
-    for x >= 0."""
-    return isqrt((1 << 2 * _TABLE_BITS) // nth_prime(i))
+def _inv_root(i: int, bits: int) -> int:
+    """K = floor(2^bits / sqrt(q_i)) = isqrt(floor(4^bits / q_i)), q_i =
+    nth_prime(i), since floor(sqrt(floor(x))) = floor(sqrt(x)) for x >= 0."""
+    return isqrt((1 << 2 * bits) // nth_prime(i))
 
 
 @dataclass(frozen=True)
@@ -128,10 +123,13 @@ class ExponentVector:
     def from_dict(cls, data: dict[int, int]) -> ExponentVector:
         items = []
         for index, coeff in sorted(data.items()):
-            if index < 1:
+            i, c = int(index), int(coeff)
+            if i != index or c != coeff:
+                raise ValueError("generator indices and coefficients are integers")
+            if i < 1:
                 raise ValueError("generator indices are 1-based")
-            if coeff:
-                items.append((index, int(coeff)))
+            if c:
+                items.append((i, c))
         return cls(tuple(items))
 
     @classmethod
@@ -153,7 +151,7 @@ class ExponentVector:
         data = self.as_dict()
         for i, c in other.coords:
             data[i] = data.get(i, 0) + c
-        return ExponentVector.from_dict(data)
+        return ExponentVector(tuple(sorted(x for x in data.items() if x[1])))
 
     def __neg__(self) -> ExponentVector:
         return ExponentVector(tuple((i, -c) for i, c in self.coords))
@@ -179,28 +177,8 @@ class ExponentVector:
 
     @cached_property
     def _fast_bounds(self) -> tuple[int, int]:
-        """Integers lo <= value * 2^_FAST_BITS <= hi, from the constants
-        K_i of _inv_root.
-
-        K_i <= 2^T / sqrt(q_i) < K_i + 1 with T = _TABLE_BITS, so each
-        c / sqrt(q_i) * 2^T lies between c * K_i and c * (K_i + 1): in
-        that order for c > 0, reversed for c < 0.  Summed, LO <= value *
-        2^T <= HI with HI - LO = S = sum|c|.  With m = 2^_SPARE_BITS,
-        lo = floor(LO / m) and hi = ceil(HI / m) enclose value *
-        2^_FAST_BITS, and hi - lo < S / m + 2, so hi - lo <= 1 + ceil(S / m):
-        at most 2 while S <= m = 2^128.  Wider intervals, for larger
-        coefficients, only send more comparisons on to _sign.
-        """
-        lo = hi = 0
-        for i, c in self.coords:
-            t = c * _inv_root(i)
-            if c > 0:
-                lo += t
-                hi += t + c
-            else:
-                lo += t + c
-                hi += t
-        return lo >> _SPARE_BITS, -(-hi >> _SPARE_BITS)
+        """_bounds at _TABLE_BITS, read from the table of constants."""
+        return _bounds(self, _TABLE_BITS)
 
     # Total order by real value.  Equality is coordinate equality; the
     # cached bounds decide almost every strict comparison, _sign the rest.
@@ -216,38 +194,45 @@ class ExponentVector:
         return f"[{inner}]"
 
 
-def _bounds(vec: ExponentVector, bits: int) -> tuple[int, int, int]:
-    """Integers lo <= value * den <= hi, den = 2^bits * Q with Q the
-    product of the vector's primes: c/sqrt(q) = c * (Q/q) * sqrt(q) / Q,
-    and s = isqrt(q * 4^bits) has s < sqrt(q) * 2^bits < s + 1."""
-    primes = [(nth_prime(i), c) for i, c in vec.coords]
-    big_q = prod(q for q, _ in primes)
+def _bounds(vec: ExponentVector, bits: int) -> tuple[int, int]:
+    """Integers lo <= value * 2^bits <= hi with hi - lo = sum|c|.
+
+    K = _inv_root(i, bits) has K <= 2^bits / sqrt(q_i) < K + 1, so
+    c / sqrt(q_i) * 2^bits lies between c * K and c * (K + 1), in that
+    order for c > 0 and reversed for c < 0, an interval of width |c|.
+    Summing gives both claims.  The cached bounds stay unrounded: for two
+    vectors, floor(lo / m) > ceil(hi' / m) implies lo > hi', so rounding to
+    a coarser grid m would only send more pairs on to _sign.
+    """
     lo = hi = 0
-    for q, c in primes:
-        s = isqrt(q << 2 * bits)
-        t = c * (big_q // q)
-        lo += t * (s if c > 0 else s + 1)
-        hi += t * (s + 1 if c > 0 else s)
-    return lo, hi, big_q << bits
+    for i, c in vec.coords:
+        t = c * _inv_root(i, bits)
+        if c > 0:
+            lo += t
+            hi += t + c
+        else:
+            lo += t + c
+            hi += t
+    return lo, hi
 
 
 def enclose(vec: ExponentVector, width: Fraction) -> RealInterval:
     """Certified rational enclosure of the real value, hi - lo <= width."""
-    width = Fraction(width)
-    if width <= 0:
+    n, d = Fraction(width).as_integer_ratio()
+    if n <= 0:
         raise ValueError("width must be positive")
-    # At b bits the enclosure width is weight / 2^b, weight = sum(|c|/q).
-    # With weight / width = num / den, b = 0 if num <= den, else the bit
-    # length of num // den, so that 2^b > num // den, i.e. 2^b > num / den.
-    lo, hi, big_q = _bounds(vec, 0)
-    num, den = (hi - lo) * width.denominator, big_q * width.numerator
-    lo, hi, den = _bounds(vec, (num // den).bit_length() if num > den else 0)
-    return RealInterval(Fraction(lo, den), Fraction(hi, den))
+    # At b bits the width is S / 2^b, S = sum|c|: at most n / d exactly
+    # when 2^b >= N = ceil(S * d / n), first at b = the bit length of N - 1.
+    weight = sum(abs(c) for _, c in vec.coords)
+    bits = max(0, -(-weight * d // n) - 1).bit_length()
+    lo, hi = _bounds(vec, bits)
+    return RealInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def _sign(vec: ExponentVector, r: Fraction) -> int:
     """Sign (+1 or -1) of value - r for a nonzero vector: double the
-    precision of _bounds until the enclosure excludes r.
+    precision of _bounds, from _TABLE_BITS, until the enclosure excludes
+    r.  The first round reads the table of constants.
 
     The loop ends.  Write r = n/d, let q_1..q_k be the vector's primes, Q
     their product and M = (d * sum|c_i| + |n|) * sqrt(Q).  Then
@@ -260,12 +245,12 @@ def _sign(vec: ExponentVector, r: Fraction) -> int:
     is at most sum|c_i| / 2^bits, which falls below it.
     """
     n, d = Fraction(r).as_integer_ratio()
-    bits = _FAST_BITS
+    bits = _TABLE_BITS
     while True:
-        lo, hi, den = _bounds(vec, bits)
-        if lo * d > n * den:
+        lo, hi = _bounds(vec, bits)
+        if lo * d > n << bits:
             return 1
-        if hi * d < n * den:
+        if hi * d < n << bits:
             return -1
         bits *= 2
 

@@ -1,7 +1,9 @@
 import decimal
 import io
+import itertools
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -12,6 +14,7 @@ from tatekit.errors import DomainError
 from tatekit.exponents import (
     CosetSignature,
     ExponentVector,
+    RealInterval,
     bounded_coset_representatives,
     certify_in_open_interval,
     compare,
@@ -33,6 +36,30 @@ def test_group_law_examples():
 def test_canonical_form_drops_zeros():
     v = ExponentVector.from_dict({1: 2, 2: 0, 5: -1})
     assert v.coords == ((1, 2), (5, -1))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{2: 2.7}, {1: Fraction(1, 2)}, {1: Fraction(-1, 3), 2: 1}, {1.5: 1}, {1: "3"}],
+)
+def test_from_dict_rejects_non_integers(data):
+    # int() would turn 1/2 into a stored 0: a vector of value 0 that is not
+    # the zero vector, whose sign _sign never decides.
+    message = "^generator indices and coefficients are integers$"
+    with pytest.raises(ValueError, match=message):
+        ExponentVector.from_dict(data)
+
+
+def test_unit_rejects_a_non_integer_coefficient():
+    with pytest.raises(ValueError):
+        ExponentVector.unit(2, 2.7)
+
+
+def test_from_dict_converts_integral_values():
+    v = ExponentVector.from_dict({1: Fraction(0), 2: Fraction(6, 3), 3.0: 1})
+    assert v.coords == ((2, 2), (3, 1))
+    assert all(type(x) is int for pair in v.coords for x in pair)
+    assert ExponentVector.from_dict({1: Fraction(0)}) == ExponentVector.zero()
 
 
 def test_enclose_sqrt2_inverse():
@@ -149,18 +176,18 @@ def test_translation_invariance(rng):
 
 
 # The cached enclosure _fast_bounds against values computed with decimal
-# square roots at 250 digits: with coefficients below 2^141, the scaled
-# sum is off by less than 10^-160, inside the margin allowed below.
+# square roots at 300 digits: with coefficients below 2^141, the scaled
+# sum is off by less than 10^-190, inside the margin allowed below.
 
 
 def assert_encloses(vec, lo, hi):
-    """lo <= value * 2^_FAST_BITS <= hi, checked with decimal roots."""
+    """lo <= value * 2^_TABLE_BITS <= hi, checked with decimal roots."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 250
+        ctx.prec = 300
         value = sum(
             decimal.Decimal(c) / decimal.Decimal(nth_prime(i)).sqrt()
             for i, c in vec.coords
-        ) * 2**exponents._FAST_BITS
+        ) * 2**exponents._TABLE_BITS
         error = decimal.Decimal(10) ** -150
         assert lo <= value - error and value + error <= hi
 
@@ -177,20 +204,11 @@ def draw_cached_vector(rng):
 
 
 def test_fast_bounds_enclose_the_value(rng):
-    narrow = wide = 0
     for _ in range(400):
         vec = draw_cached_vector(rng)
         lo, hi = vec._fast_bounds
         assert_encloses(vec, lo, hi)
-        weight = sum(abs(c) for _, c in vec.coords)
-        spare = exponents._SPARE_BITS
-        assert hi - lo <= 1 + -(-weight >> spare)
-        if weight <= 2**spare:
-            assert hi - lo <= 2
-            narrow += weight > 2**64
-        else:
-            wide += 1
-    assert narrow >= 50 and wide >= 50
+        assert hi - lo == sum(abs(c) for _, c in vec.coords)
 
 
 def test_fast_bounds_table_is_bounded(monkeypatch):
@@ -198,14 +216,62 @@ def test_fast_bounds_table_is_bounded(monkeypatch):
     for i in range(1, size + 50):
         ExponentVector.unit(i, -3)._fast_bounds
     assert exponents._inv_root.cache_info().currsize <= size
-    # With the constants in the table, no root, prime or product is
-    # computed for a new vector.
-    for name in ["isqrt", "nth_prime", "prod"]:
+    # With the constants in the table, no root or prime is computed for a
+    # new vector.
+    for name in ["isqrt", "nth_prime"]:
         monkeypatch.setattr(exponents, name, None)
     vec = ExponentVector.from_dict({i: 2**70 - i for i in range(size, size + 49)})
     lo, hi = vec._fast_bounds
     monkeypatch.undo()
     assert_encloses(vec, lo, hi)
+
+
+# Decimal oracles at 1,100 digits.  Every term c / sqrt(q) below is under
+# 10^190 in absolute value, so the decimal sums are off by less than
+# 10^-900, and arithmetic on them runs in the same context.
+ORACLE_ERROR = decimal.Decimal(10) ** -900
+
+
+def oracle_context():
+    return decimal.localcontext(decimal.Context(prec=1100))
+
+
+@lru_cache(maxsize=None)
+def decimal_inv_root(i):
+    with oracle_context():
+        return 1 / decimal.Decimal(nth_prime(i)).sqrt()
+
+
+def decimal_value(vec):
+    with oracle_context():
+        terms = (c * decimal_inv_root(i) for i, c in vec.coords)
+        return sum(terms, decimal.Decimal(0))
+
+
+def test_enclose_is_certified_and_least(rng):
+    wide = 0
+    for _ in range(300):
+        vec = draw_cached_vector(rng)
+        weight = sum(abs(c) for _, c in vec.coords)
+        width = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        width *= Fraction(2) ** rng.randint(-600, 150)
+        iv = enclose(vec, width)
+        value = decimal_value(vec)
+        with oracle_context():
+            assert iv.lo <= value - ORACLE_ERROR and value + ORACLE_ERROR <= iv.hi
+        # The width is weight / 2^b for the least b >= 0 that fits.
+        ratio = weight / iv.width
+        assert ratio.denominator == 1
+        assert ratio.numerator & (ratio.numerator - 1) == 0
+        if weight <= width:
+            assert iv.width == weight
+            wide += 1
+        else:
+            assert width / 2 < iv.width <= width
+    assert 10 <= wide <= 290
+    for width in [Fraction(1, 2**600), Fraction(1, 10**9), Fraction(5)]:
+        zero = RealInterval(Fraction(0), Fraction(0))
+        assert enclose(ExponentVector.zero(), width) == zero
 
 
 def test_nth_prime_sequence():
@@ -291,10 +357,10 @@ def refuse_refinement(vec, r):
     raise RefinementCalled
 
 
-@pytest.mark.parametrize("bits", [56, 64, 76])
+@pytest.mark.parametrize("bits", [56, 64, 76, 84, 100])
 @pytest.mark.parametrize("shift", [{}, {3: 1}, {3: -7, 5: 2}])
 def test_cached_bounds_decide_near_cancelling_pairs(monkeypatch, bits, shift):
-    # The 2^-80 cached enclosures alone separate pairs up to 76 bits.
+    # The cached enclosures alone separate pairs up to 100 bits.
     a, b = near_cancelling_pair(bits)
     expected = (3 * a * a > 2 * b * b) - (3 * a * a < 2 * b * b)
     u = ExponentVector.from_dict({1: a, **shift})
@@ -304,10 +370,10 @@ def test_cached_bounds_decide_near_cancelling_pairs(monkeypatch, bits, shift):
     assert compare(v, u) == -expected
 
 
-@pytest.mark.parametrize("bits", [84, 100])
+@pytest.mark.parametrize("bits", [112, 200])
 def test_closer_pairs_reach_refinement(monkeypatch, bits):
-    # These differ by less than 2^-80, which no cached enclosure can
-    # separate.
+    # The cached enclosures of these pairs, about 2^(bits - 208) wide,
+    # are wider than the difference, about 2^-bits, so they overlap.
     a, b = near_cancelling_pair(bits)
     monkeypatch.setattr(exponents, "_sign", refuse_refinement)
     with pytest.raises(RefinementCalled):
@@ -321,6 +387,58 @@ def test_certify_at_a_convergent_endpoint():
     below = 2 * r * r < 1
     assert certify_in_open_interval(E1, r, Fraction(1)) == below
     assert certify_in_open_interval(E1, Fraction(0), r) == (not below)
+
+
+# Generator past the table of cached constants.
+FAR = exponents._TABLE_SIZE + 7
+
+
+@pytest.mark.parametrize("centre", [(0, 0), (300, 0), (600, 9)])
+def test_box_order_matches_decimal_oracle(centre):
+    # A box of vectors around 0 or around a near-cancelling pair, over
+    # generators 1, 2 and one past the table, sorted by decimal value.
+    bits, k = centre
+    a, b = near_cancelling_pair(bits) if bits else (0, 0)
+    box = [
+        ExponentVector.from_dict({1: a + i, 2: j - b, FAR: k + m})
+        for i, j, m in itertools.product(range(-6, 7), repeat=3)
+    ]
+    values = {vec: decimal_value(vec) for vec in box}
+    ordered = sorted(box, key=values.__getitem__)
+    for u, v in zip(ordered, ordered[1:]):
+        with oracle_context():
+            assert values[v] - values[u] > 2 * ORACLE_ERROR
+        assert compare(u, v) == -1 and compare(v, u) == 1
+
+
+def test_certify_near_truncated_values(monkeypatch, rng):
+    # r_k is the value truncated to k digits, so the value lies in
+    # (r_k, r_k + 10^-k) and in neither neighbouring interval.  A gap near
+    # 10^-k = 2^-3.33k makes _sign refine to 416, 832 and 1664 bits.
+    seen = set()
+    bounds = exponents._bounds
+
+    def recording_bounds(vec, bits):
+        seen.add(bits)
+        return bounds(vec, bits)
+
+    monkeypatch.setattr(exponents, "_bounds", recording_bounds)
+    for _ in range(20):
+        support = rng.sample([1, 2, 3, 4, 5, 6, FAR], k=rng.randint(3, 4))
+        vec = ExponentVector.from_dict(
+            {i: rng.choice([-1, 1]) * rng.randint(1, 2**20) for i in support}
+        )
+        value = decimal_value(vec)
+        for k in [70, 150, 300]:
+            with oracle_context():
+                scaled = value.scaleb(k)
+                floor = scaled.to_integral_value(rounding=decimal.ROUND_FLOOR)
+                assert ORACLE_ERROR < scaled - floor < 1 - ORACLE_ERROR
+            r, step = Fraction(int(floor), 10**k), Fraction(1, 10**k)
+            assert certify_in_open_interval(vec, r, r + step)
+            assert not certify_in_open_interval(vec, r + step, r + 2 * step)
+            assert not certify_in_open_interval(vec, r - step, r)
+    assert {416, 832, 1664} <= seen
 
 
 def test_near_cancelling_gabber_distance_in_cli():
