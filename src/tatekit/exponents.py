@@ -46,6 +46,12 @@ def _is_prime(c: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise DomainError(f"characteristic {p} is not prime")
+
+
 def nth_prime(i: int) -> int:
     """Return the i-th prime (1-based): 2, 3, 5, ..."""
     if i < 1:
@@ -289,8 +295,7 @@ def bounded_coset_representatives(p: int, count: int) -> list[ExponentVector]:
       signatures are pairwise distinct and each equals its generator's;
     - q_i strictly increases with i, so the values strictly decrease.
     """
-    if not _is_prime(p):
-        raise DomainError(f"characteristic {p} is not prime")
+    _require_prime(p)
     if count < 1:
         raise ValueError("count must be >= 1")
     return [ExponentVector.unit(i) for i in range(1, count + 1)]

@@ -48,14 +48,7 @@ from itertools import compress
 from typing import Union
 
 from .errors import BackendMismatch, DomainError, PrecisionError
-from .exponents import ExponentVector, _is_prime
-
-
-@lru_cache(maxsize=None)
-def _require_prime(p: int) -> int:
-    if not _is_prime(p):
-        raise DomainError(f"characteristic {p} is not prime")
-    return p
+from .exponents import ExponentVector, _require_prime
 
 Exponent = Union[Fraction, ExponentVector]
 

@@ -337,9 +337,8 @@ def parse_tate(text: str, p: int, n: int | None = None) -> TateElem:
 
 def format_tate(f: TateElem) -> str:
     parts = []
-    for index, coeff in sorted(f.terms, key=lambda kv: kv[0], reverse=True):
+    for index, coeff in reversed(f.terms):
         inner = str(coeff)
-        is_one = coeff == coeff.one(coeff.p)
         factors = []
         for i, power in enumerate(index, start=1):
             if power == 0:
@@ -349,7 +348,7 @@ def format_tate(f: TateElem) -> str:
         monom = "*".join(factors)
         if not monom:
             parts.append(f"[{inner}]")
-        elif is_one:
+        elif inner == "1":  # printing is canonical: only an exact 1 prints "1"
             parts.append(monom)
         else:
             parts.append(f"[{inner}]{monom}")

@@ -210,10 +210,9 @@ def is_unit(f: TateElem) -> bool:
 
     Requires the slack to sit strictly below the constant term's norm
     (or an exact element); otherwise the question is undecidable at the
-    stored precision.
+    stored precision.  Terms are sorted, so a constant term comes first.
     """
-    zero_idx = tuple([0] * f.n)
-    const = f.coefficient(zero_idx)
+    const = f.terms[0][1] if f.terms and not any(f.terms[0][0]) else None
     const_norm = const.norm() if const is not None else NormValue.zero()
     if f.slack is not None:
         if const_norm.is_zero or const_norm.compare(f.slack) <= 0:
@@ -222,22 +221,20 @@ def is_unit(f: TateElem) -> bool:
             )
     elif const_norm.is_zero:
         return False
+    return all(const_norm.compare(c.norm()) > 0 for _, c in f.terms[1:])
+
+
+def _dominant_degree(f: TateElem, pos: int) -> tuple[int, NormValue]:
+    """The largest degree in X_(pos+1) whose coefficient attains the Gauss
+    norm of a nonempty exact f, and that norm, in one pass: a
+    coefficient's Gauss norm is the largest norm of the terms of its
+    degree, as their other indices differ."""
+    degree, best = -1, None
     for idx, c in f.terms:
-        if idx == zero_idx:
-            continue
-        if const_norm.compare(c.norm()) <= 0:
-            return False
-    return True
-
-
-def _coefficients_along(g: TateElem, axis: int) -> dict[int, TateElem]:
-    """Decompose along one variable: g = sum_k (coeff_k) * X_axis^k with
-    coefficients in the remaining n-1 variables."""
-    pos = axis - 1
-    groups: dict[int, list] = {}
-    for idx, c in g.terms:
-        groups.setdefault(idx[pos], []).append((idx[:pos] + idx[pos + 1 :], c))
-    return {k: _from_pairs(g.n - 1, g.char, pairs) for k, pairs in groups.items()}
+        sign = 1 if best is None else c.norm().compare(best)
+        if sign > 0 or (sign == 0 and idx[pos] > degree):
+            degree, best = idx[pos], c.norm()
+    return degree, best
 
 
 def distinguished_order(g: TateElem, axis: int | None = None) -> DistinguishedReport:
@@ -256,11 +253,10 @@ def distinguished_order(g: TateElem, axis: int | None = None) -> DistinguishedRe
         raise DomainError("distinguished order needs an exact element")
     if not g.terms:
         raise DomainError("zero-input: the zero series has no distinguished order")
-    coeffs = _coefficients_along(g, axis)
-    norms = {k: gauss_norm(c) for k, c in coeffs.items()}
-    total = _largest(norms.values())
-    order = max(k for k, n in norms.items() if n.compare(total) == 0)
-    return DistinguishedReport(order, total, is_unit(coeffs[order]))
+    pos = axis - 1
+    order, total = _dominant_degree(g, pos)
+    coeff = [(idx[:pos] + idx[pos + 1 :], c) for idx, c in g.terms if idx[pos] == order]
+    return DistinguishedReport(order, total, is_unit(_from_pairs(g.n - 1, g.char, coeff)))
 
 
 def euclid_degree(f: TateElem) -> int:
@@ -271,8 +267,7 @@ def euclid_degree(f: TateElem) -> int:
         raise DomainError("the Euclidean degree needs an exact element")
     if not f.terms:
         raise DomainError("zero-input: the zero series has no degree")
-    total = _largest(c.norm() for _, c in f.terms)
-    return max(idx[0] for idx, c in f.terms if c.norm().compare(total) == 0)
+    return _dominant_degree(f, 0)[0]
 
 
 def _binomial_row(k: int, p: int, sign: int) -> list[tuple[int, int]]:

@@ -5,12 +5,12 @@ degree (largest index attaining the Gauss norm).  Coefficient divisions
 happen in the Laurent field to a finite cutoff, so the result is exact
 only when every step is; otherwise the identity holds up to the
 requested slack, which is recorded on the remainder.  The algorithm
-pre-scales g by a monomial so its dominant coefficient has norm one and
-long-divides top down: each step subtracts step * X^shift * g, which
-clears a degree >= d(g) and leaves the smaller tail terms above it for
-the next round.  The remainder's norm drops by a fixed factor
-e^-contraction per round, so the number of rounds needed for the target
-is known before the first one and is the loop's bound (see ``divide``).
+long-divides top down by g at its own Gauss norm: each step subtracts
+step * X^shift * g, which clears a degree >= d(g) and leaves the smaller
+tail terms above it for the next round.  The remainder's norm drops by
+a fixed factor e^-contraction per round, so the number of rounds needed
+for the target is known before the first one and is the loop's bound
+(see ``divide``).
 
 The rounds run on exact values at one lattice level: each X-degree is a
 dict from lattice int to unreduced int, reduced mod p only where it is
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DomainError, PrecisionError
 from .field import LaurentSeries, NormValue, _canonical, _denominator_level, _product
-from .tate import TateElem, _from_pairs, _largest, euclid_degree, gauss_norm
+from .tate import TateElem, _dominant_degree, _from_pairs, euclid_degree, gauss_norm
 
 
 def _require_exact_t1(f: TateElem, name: str) -> None:
@@ -45,19 +45,26 @@ def divide(
     slack bound (exact when the iteration terminates with no residue);
     q is always explicit.
 
-    Round bound.  g is scaled to Gauss norm 1, so its dominant coefficient
-    and ``inv_dominant``, that coefficient's inverse exact to t^kappa, have
-    norm 1; every head coefficient (degree <= d(g)) has norm <= 1 and every
-    tail coefficient norm <= e^-c_t with c_t > 0.  In a round each step
-    c * inv_dominant has norm |c| <= |h|, so the head's updates stay within
-    |h| and clear each degree >= d(g) up to the inverse's error, of norm
-    <= |h| e^-kappa, while the tail adds terms of norm <= |h| e^-c_t above
-    it.  One round thus takes |h| to at most |h| e^-contraction, where
-    contraction = min(kappa, c_t) <= kappa.  As h starts at
-    |f| <= e^-floor_exp, after ceil((tau - floor_exp) / contraction) rounds
-    (none when that is not positive) |h| <= e^-tau and the stop test
-    holds.  ``cap`` is that count and h is tested cap + 1 times, so the
-    PrecisionError is unreachable; it stays as a defensive path.
+    Round bound.  Let |g| = e^-v.  The dominant coefficient has norm
+    e^-v and ``inv_dominant``, its inverse exact to t^kappa, norm e^v;
+    every head coefficient (degree <= d(g)) has norm <= e^-v and every
+    tail coefficient norm <= e^-(v + c_t) with c_t > 0.  In a round each
+    step c * inv_dominant has norm |c| e^v <= |h| e^v, so the head's
+    updates stay within |h| and clear each degree >= d(g) up to the
+    inverse's error, of norm <= |h| e^-kappa, while the tail adds terms of
+    norm <= |h| e^-c_t above it.  One round thus takes |h| to at most
+    |h| e^-contraction, where contraction = min(kappa, c_t) <= kappa.  As
+    h starts at |f| <= e^-floor_exp, after ceil((tau - floor_exp) /
+    contraction) rounds (none when that is not positive) |h| <= e^-tau
+    and the stop test holds.  ``cap`` is that count and h is tested
+    cap + 1 times, so the PrecisionError is unreachable; it stays as a
+    defensive path.
+
+    No scaling.  Dividing by t^-v g, of Gauss norm one, gives r and t^v q
+    term for term: the inverse of its dominant coefficient is this one's
+    times t^v (``inverse``'s u, rounds and power cuts do not depend on v),
+    so its steps are this one's times t^v and cancel t^-v in step * g; v
+    is on its coefficient's lattice, so the common level is the same.
     """
     _require_exact_t1(f, "dividend")
     _require_exact_t1(g, "divisor")
@@ -70,33 +77,21 @@ def divide(
         return TateElem.zero(1, p), TateElem.zero(1, p)
 
     tau = target_slack.exponent
-    order = euclid_degree(g)
-    gauss_exp = gauss_norm(g).exponent
-    gh = {idx[0]: c for idx, c in g.terms}
-    if gauss_exp != 0:
-        scale = LaurentSeries.t_power(p, -gauss_exp)
-        gh = {d: c * scale for d, c in gh.items()}
-
-    f_val = gauss_norm(f).exponent
-    floor_exp = min(Fraction(0), f_val)
+    order, g_norm = _dominant_degree(g, 0)
+    floor_exp = min(Fraction(0), gauss_norm(f).exponent)
     kappa = max(Fraction(1), tau - floor_exp + 2)
     if _denominator_level(kappa.denominator, p) is None:
         # The inverse's cutoff must lie in the (1/p^e)Z lattice; a higher
         # working precision is as sound, and an integer lies in it.
         kappa = Fraction(math.ceil(kappa))
-    inv_dominant = gh[order].inverse(kappa).explicit_part()
-
-    contraction = kappa
-    tail_norm = _largest(c.norm() for d, c in gh.items() if d > order)
-    if tail_norm is not None:
-        contraction = min(contraction, tail_norm.exponent)
+    inv_dominant = g.coefficient((order,)).inverse(kappa).explicit_part()
+    tail = [c.norm().exponent - g_norm.exponent for (d,), c in g.terms if d > order]
+    contraction = min([kappa, *tail])
     cap = max(0, math.ceil((tau - floor_exp) / contraction))
 
-    # g's levels cover gh's and the scale's, which q's exponents take.
     level = max(c.level for _, c in (*f.terms, *g.terms, (None, inv_dominant)))
-    t_shift = (-gauss_exp * p**level).numerator
     inv = _lift(inv_dominant, level)
-    g_rows = [(k, _lift(c, level)) for k, c in gh.items()]
+    g_rows = [(k, _lift(c, level)) for (k,), c in g.terms]
     h = {idx[0]: dict(_lift(c, level)) for idx, c in f.terms}
     q_rows: dict = {}
     for rnd in range(cap + 1):
@@ -114,7 +109,7 @@ def divide(
             step = _mod(_product(row.items(), inv), p).items()
             q_row = q_rows.setdefault(d - order, {})
             for e, c in step:
-                q_row[e + t_shift] = q_row.get(e + t_shift, 0) + c
+                q_row[e] = q_row.get(e, 0) + c
             for k, gk in g_rows:
                 acc = h.setdefault(d - order + k, {})
                 for e1, c1 in step:
@@ -156,9 +151,8 @@ def gcd(f: TateElem, g: TateElem, target_slack: NormValue) -> TateElem:
     a, b = f, g
     while b.terms:
         _, r = divide(a, b, target_slack)
-        r_explicit = _from_pairs(1, p, r.terms)
-        largest = _largest(c.norm() for _, c in r_explicit.terms)
-        if largest is not None and largest.compare(target_slack) <= 0:
+        r_explicit = TateElem(1, p, r.terms)
+        if gauss_norm(r_explicit).compare(target_slack) <= 0:
             r_explicit = TateElem.zero(1, p)
         a, b = b, r_explicit
     d = a

@@ -13,6 +13,7 @@ from tatekit.field import LaurentSeries, NormValue
 from tatekit.selftest import sample_tate
 from tatekit.tate import (
     AutomorphismSpec,
+    DistinguishedReport,
     TateElem,
     apply_automorphism,
     distinguished_order,
@@ -140,6 +141,43 @@ class TestDistinguished:
                 continue
             pure = tuple([0] * (n - 1)) + (report.order,)
             assert f.coefficient(pure) is not None
+
+    def test_matches_the_coefficient_decomposition(self, rng):
+        # Exponents at most 2 and up to 6 terms, so terms often share
+        # their X_axis degree; every axis of n = 1, 2, 3.
+        shared = 0
+        for _ in range(300):
+            p = rng.choice([2, 3, 5])
+            n = rng.choice([1, 2, 3])
+            f = sample_tate(rng, n, p, max_terms=6, max_exp=2)
+            if not f.terms:
+                continue
+            for axis in range(1, n + 1):
+                order, total, unit = decomposed_order(f, axis)
+                expected = DistinguishedReport(order, NormValue.finite(total), unit)
+                assert distinguished_order(f, axis) == expected
+                degrees = [idx[axis - 1] for idx, _ in f.terms]
+                shared += len(set(degrees)) < len(degrees)
+        assert shared > 100
+
+
+def decomposed_order(f: TateElem, axis: int):
+    """(order, Gauss exponent, distinguished) read off f = sum_k a_k X_axis^k:
+    each a_k's Gauss exponent is the least valuation of its terms, the
+    order is the largest k whose a_k attains the least of these, and a_k
+    is a unit when its constant term's valuation is below all the others."""
+    pos = axis - 1
+    coeffs: dict = {}
+    for idx, c in f.terms:
+        rest = idx[:pos] + idx[pos + 1 :]
+        coeffs.setdefault(idx[pos], {})[rest] = c.terms[0][0]
+    exps = {k: min(a.values()) for k, a in coeffs.items()}
+    total = min(exps.values())
+    order = max(k for k, e in exps.items() if e == total)
+    a = coeffs[order]
+    const = a.get(tuple([0] * (f.n - 1)))
+    unit = const is not None and all(const < e for rest, e in a.items() if any(rest))
+    return order, total, unit
 
 
 class TestEuclidDegree:

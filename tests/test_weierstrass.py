@@ -372,3 +372,28 @@ def test_printed_answers_pinned():
         q, r = divide(f, g, NormValue.finite(tau))
         digest.update(f"{format_tate(q)}|{format_tate(r)}|{r.slack!r}\n".encode())
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+# sha256 of the printed q, r and r.slack below, recorded while ``divide``
+# still scaled a divisor to Gauss norm one before dividing.
+NON_UNIT_NORM_DIGEST = "faa47765e0db2b7a3eb37cbe4be65fc2cd072499fa060bf5cf10b031f4742d8b"
+
+
+def test_non_unit_norm_answers_pinned():
+    # A fixed seed, not SEED: the digest pins these very inputs.  Every g
+    # has Gauss exponent v != 0, of either sign, integral or fractional
+    # on the (1/p)Z lattice; f is scaled by a lattice exponent too.
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for _ in range(240):
+        p = rng.choice([2, 3, 5])
+        f, g = draw_shaped(rng, p, rng.choice(SHAPES), rng.choice([2, 4]))
+        v = Fraction(rng.choice([k for k in range(-2 * p, 2 * p + 1) if k]), p)
+        w = Fraction(rng.randint(-p, p), p)
+        g = g.map_coefficients(lambda c: c * t(p, v))
+        f = f.map_coefficients(lambda c: c * t(p, w))
+        assert gauss_norm(g) == NormValue.finite(v)
+        tau = rng.choice([Fraction(3), Fraction(8), Fraction(17, 2)])
+        q, r = divide(f, g, NormValue.finite(tau))
+        digest.update(f"{format_tate(q)}|{format_tate(r)}|{r.slack!r}\n".encode())
+    assert digest.hexdigest() == NON_UNIT_NORM_DIGEST
