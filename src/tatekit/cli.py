@@ -9,6 +9,11 @@ invocations are byte-identical.  ``_EXIT`` is the exit-code table: 0
 success, 1 usage or syntax error, 2 mathematical domain error, 3
 precision/undecidable, 4 bounded search exhausted.  The environment
 variable ``TATEKIT_SEED`` (an integer) seeds the selftest suites.
+
+A handler imports the modules only its command runs (``frobenius`` for
+``split``, ``certify`` and ``diag-select``; ``gabber`` for ``gabber``;
+``selftest``), so the other commands start without loading them; and
+``main`` builds the argument parser of the named command alone.
 """
 
 from __future__ import annotations
@@ -18,21 +23,12 @@ import os
 import sys
 from fractions import Fraction
 
-from . import gabber
 from .errors import (
     BackendMismatch,
     DomainError,
     ParseError,
     PrecisionError,
     SearchExhausted,
-)
-from .frobenius import (
-    ConvergenceCertificate,
-    NormTable,
-    lift_splitting_convergent,
-    lift_splitting_tate,
-    phi_standard,
-    select_diagonal_indices,
 )
 from .parsing import (
     format_norm_value,
@@ -43,6 +39,7 @@ from .parsing import (
     parse_tate,
 )
 from .tate import distinguished_order, euclid_degree, find_distinguishing_automorphism, gauss_norm, is_unit
+# Eager, unlike the handlers' imports: a tracer installed after import patches only loaded modules.
 from .weierstrass import divide
 
 
@@ -161,6 +158,8 @@ def _automorph(args):
 
 @_command("split", "apply the splitting lift", _F, _N)
 def _split(args):
+    from .frobenius import lift_splitting_tate, phi_standard
+
     f = parse_tate(args.f, args.p, args.n)
     return [("result", format_tate(lift_splitting_tate(phi_standard(args.p), f)))]
 
@@ -169,6 +168,8 @@ def _split(args):
           _arg("--log-radii", required=True, dest="log_radii", type=_rationals),
           _arg("--log-bound", required=True, dest="log_bound", type=_rational))
 def _certify(args):
+    from .frobenius import ConvergenceCertificate, lift_splitting_convergent, phi_standard
+
     f = parse_tate(args.f, args.p, args.n)
     cert = ConvergenceCertificate(args.log_radii, args.log_bound)
     image, cert = lift_splitting_convergent(phi_standard(args.p), f, cert)
@@ -185,6 +186,8 @@ def _certify(args):
           _arg("--floors", required=True, type=_rationals, help="comma-separated rationals"),
           _arg("--count", type=int, required=True))
 def _diag_select(args):
+    from .frobenius import NormTable, select_diagonal_indices
+
     table = NormTable.from_csv(args.table, args.floors)
     records = []
     for step in select_diagonal_indices(table, args.count):
@@ -201,18 +204,30 @@ def _diag_select(args):
           _arg("--count", type=_positive_int, default=None),
           _arg("--N", type=_positive_int, default=None), _arg("--g", default=None))
 def _gabber(args):
+    from . import gabber
+    from .exponents import _require_prime
+
     if args.action == "reps":
         count = args.count if args.count is not None else (args.N or 1)
         ctx = gabber.build_context(args.p, count)
         return [(f"rep_{i}", str(ctx.rep(i))) for i in range(1, count + 1)]
     if args.N is None:
         raise _UsageError("gabber witness/distance needs --N")
-    ctx = gabber.build_context(args.p, args.N)
     if args.action == "witness":
+        ctx = gabber.build_context(args.p, args.N)
         return [("witness", str(gabber.witness_truncation(ctx, args.N)))]
+    _require_prime(args.p)
     if args.g is None:
         raise _UsageError("gabber distance needs --g")
-    report = gabber.distance_lower_bound_check(ctx, parse_hahn(args.g, args.p), args.N)
+    g = parse_hahn(args.g, args.p)
+    # K = min(N, k + 1) representatives, k = len(g.terms), give the report
+    # of N.  If K = N nothing changes.  Otherwise the cosets of -s_1, ...,
+    # -s_K are pairwise distinct (distinct signatures) and g's k < K terms
+    # meet at most k of them, so some i <= K is missing: the least missing
+    # index over 1..N is the one over 1..K.  The bound -s_i is then the
+    # same, and the check builds f_min(N, k + 1) = f_K either way.
+    count = min(args.N, len(g.terms) + 1)
+    report = gabber.distance_lower_bound_check(gabber.build_context(args.p, count), g, count)
     return [
         ("i_g", str(report.missing_index)),
         ("bound_exp", str(report.bound_exponent)),
@@ -224,7 +239,6 @@ def _gabber(args):
 @_command("selftest", "run the invariant suites",
           _arg("--trials", type=_positive_int, default=200), _arg("--seed", type=int, default=None))
 def _selftest(args):
-    # Imported here so that the other commands do not pay to load it.
     from . import selftest
 
     seed = args.seed
@@ -241,10 +255,14 @@ def _selftest(args):
     return records, 0 if healthy else 2
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
     parser = _Parser(prog="tatekit", add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (description, arguments, handler) in _COMMANDS.items():
+    # A command named first needs only its own subparser, and no message
+    # then lists the others; top-level help and a bad name need them all.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        description, arguments, handler = _COMMANDS[name]
         command = sub.add_parser(name, description=description)
         command.add_argument("--p", type=int, default=2, help="prime characteristic")
         command.add_argument("--format", choices=["text", "records"], default="text")
@@ -267,7 +285,8 @@ _EXIT = {
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         records = args.handler(args)

@@ -33,16 +33,37 @@ _TABLE_SIZE = 1024
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below psi_13, the
+# least odd composite that passes all 13 (Sorenson and Webster, Math. Comp.
+# 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
+
+
 def _is_prime(c: int) -> bool:
+    """Whether c is prime, by deterministic Miller-Rabin; DomainError for
+    c >= psi_13, where the bases no longer decide."""
+    if c >= _PSI13:
+        raise DomainError(
+            f"characteristic {c} is too large: primality is certified only below psi_13 = {_PSI13}"
+        )
     if c < 2:
         return False
-    if c % 2 == 0:
-        return c == 2
-    d = 3
-    while d * d <= c:
-        if c % d == 0:
+    for a in _WITNESSES:
+        if c % a == 0:
+            return c == a
+    s = ((c - 1) & (1 - c)).bit_length() - 1  # c - 1 = 2^s * d, d odd
+    d = (c - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, c)
+        if x == 1 or x == c - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -18,8 +18,6 @@ divergence argument for non-continuous splittings.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -288,6 +286,9 @@ class NormTable:
 
     @classmethod
     def from_csv(cls, text: str, floors) -> NormTable:
+        import csv
+        import io
+
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["i", "j", "v"]:

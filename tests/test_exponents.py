@@ -1,6 +1,7 @@
 import decimal
 import io
 import itertools
+import math
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -294,6 +295,50 @@ def test_nth_prime_matches_trial_division(fresh_primes):
     ]
     assert [nth_prime(i) for i in range(1, len(reference) + 1)] == reference
     assert nth_prime(len(reference) + 1) > 50000
+
+
+# The least strong pseudoprime to the first 13 prime bases (Sorenson and
+# Webster, 2017).
+PSI13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(-3, 200_000) if exponents._is_prime(n) != trial_division(n)] == []
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_twelve_bases():
+    # psi_12 passes Miller-Rabin to the bases 2, ..., 37; base 41 exposes it.
+    psi12 = 318_665_857_834_031_151_167_461
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not exponents._is_prime(psi12)
+    with pytest.raises(DomainError, match=f"^characteristic {psi12} is not prime$"):
+        exponents._require_prime(psi12)
+
+
+@pytest.mark.parametrize(
+    "n,factors",
+    [
+        (2**61 - 1, [2**61 - 1]),  # a Mersenne prime
+        (10**18 + 3, [10**18 + 3]),
+        (2**67 - 1, [193_707_721, 761_838_257_287]),
+        # Strong pseudoprimes to the bases 2, ..., 7 and 2, ..., 31.
+        (3_215_031_751, [151, 751, 28_351]),
+        (3_825_123_056_546_413_051, [149_491, 747_451, 34_233_211]),
+    ],
+)
+def test_is_prime_on_large_numbers(n, factors):
+    assert math.prod(factors) == n
+    assert exponents._is_prime(n) == (len(factors) == 1)
+
+
+@pytest.mark.parametrize("n", [PSI13, PSI13 + 1, 10**40 + 1])
+def test_is_prime_refuses_past_the_bound(n):
+    with pytest.raises(DomainError, match=f"^characteristic {n} is too large: primality "
+                                          f"is certified only below psi_13 = {PSI13}$"):
+        exponents._require_prime(n)
 
 
 def test_large_generator_index_in_cli(fresh_primes):

@@ -1,8 +1,10 @@
+import io
 import random
 import tracemalloc
 
 import pytest
 
+from tatekit.cli import main
 from tatekit.errors import DomainError, PrecisionError
 from tatekit.exponents import ExponentVector, compare
 from tatekit.field import HahnSum
@@ -20,6 +22,11 @@ from tatekit.parsing import parse_hahn
 from tatekit.selftest import sample_exponent_vector, sample_hahn
 
 E1 = ExponentVector.unit(1)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    return main(argv, out, err), out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +216,46 @@ class TestWitnessCut:
                 and compare(norm.exponent, ExponentVector.zero()) < 0
             )
         assert decided >= 100 and undecidable >= 5
+
+
+class TestCliDistance:
+    """``gabber distance`` builds min(N, len(g.terms) + 1) representatives."""
+
+    def test_memory_bounded_by_g_not_n(self):
+        # One representative and a one-term witness; N = 10^6 of them took
+        # 2.95 s and 262 MB.
+        run_cli(["gabber", "distance", "--N", "2", "--g", "0"])  # warm the caches
+        tracemalloc.start()
+        try:
+            result = run_cli(["gabber", "distance", "--N", "1000000", "--g", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "i_g = 1\nbound_exp = [1:-1]\nactual_exp = [1:-1]\npass = true\n", "")
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_reports_what_n_representatives_give(self, p):
+        # Oracle: the library check on a context of all N representatives.
+        rng = random.Random(p)
+        full = build_context(p, 12)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            terms = {-full.rep(i): 1 for i in rng.sample(range(1, 13), k=rng.randint(0, 6))}
+            if rng.random() < 0.3:
+                terms[sample_exponent_vector(rng)] = rng.randint(1, p - 1)
+            cutoff = -full.rep(rng.randint(1, 12)) if rng.random() < 0.3 else None
+            g = HahnSum.make(p, terms, cutoff)
+            argv = ["gabber", "distance", "--p", str(p), "--N", str(n), "--g", str(g)]
+            try:
+                report = distance_lower_bound_check(build_context(p, n), g, n)
+            except (DomainError, PrecisionError) as exc:
+                assert run_cli(argv) == ({DomainError: 2}.get(type(exc), 3), "", f"error: {exc}\n")
+                continue
+            assert run_cli(argv) == (0, (
+                f"i_g = {report.missing_index}\nbound_exp = {report.bound_exponent}\n"
+                f"actual_exp = {report.actual_exponent}\n"
+                f"pass = {'true' if report.passed else 'false'}\n"), "")
 
 
 class TestWitnessElements:

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,11 @@ from tatekit.parsing import (
 )
 from tatekit.selftest import sample_hahn, sample_laurent, sample_tate
 from tatekit.tate import TateElem, euclid_degree, gauss_norm
+
+
+# The least strong pseudoprime to the first 13 prime bases (Sorenson and
+# Webster, 2017): the primality check is certified below it.
+PSI13 = 3_317_044_064_679_887_385_961_981
 
 
 def run_cli(argv):
@@ -476,6 +482,19 @@ class TestCliArgumentErrors:
         assert code == 2 and out == ""
         assert err == "error: characteristic 4 is not prime\n"
 
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            # --N, then the prime, then --g, then g's text.
+            (["--p", "4", "--g", "t^["], 1, "usage error: gabber witness/distance needs --N\n"),
+            (["--p", "4", "--N", "2", "--g", "t^["], 2, "error: characteristic 4 is not prime\n"),
+            (["--p", "4", "--N", "2"], 2, "error: characteristic 4 is not prime\n"),
+            (["--N", "2", "--g", "t^["], 1, "syntax error: expected digits at line 1, column 4\n"),
+        ],
+    )
+    def test_gabber_distance_error_order(self, argv, code, err):
+        assert run_cli(["gabber", "distance", *argv]) == (code, "", err)
+
     def test_divide_with_slack_off_the_lattice(self):
         code, out, err = run_cli(
             ["divide", "--f", "X^2", "--g", "[1 + t]X + [t]", "--slack", "e^-1/3",
@@ -551,6 +570,12 @@ class TestCliRegistry:
         text = help_text(["--help"], capsys)
         assert "{" + ",".join(COMMANDS) + "}" in text
 
+    @pytest.mark.parametrize("argv", [["bogus"], ["Norm"], ["--p", "3", "norm"]])
+    def test_unknown_command_lists_every_command(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and all(c in err for c in COMMANDS)
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_help_prints_its_description(self, command, capsys):
         text = help_text([command, "--help"], capsys)
@@ -574,14 +599,17 @@ class TestCliRegistry:
         assert err.startswith(f"usage error: {missing}")
 
 
-def run_process(argv):
+def run_process(argv, timeout=60):
     """``python -W error -m tatekit.cli`` in a child that imports the same
     tatekit as this process; returns (exit code, stdout bytes, stderr bytes)."""
+    return run_child(["-m", "tatekit.cli", *argv], timeout)
+
+
+def run_child(args, timeout=60):
     path = [str(Path(tatekit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "tatekit.cli", *argv],
-        capture_output=True, env=env, timeout=60,
+        [sys.executable, "-W", "error", *args], capture_output=True, env=env, timeout=timeout,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -599,3 +627,46 @@ class TestCliProcess:
         assert run_process(argv) == (
             3, b"", b"error: undecidable-at-precision: the ball of g swallows the witness terms\n"
         )
+
+    def test_prime_near_10_to_18_answers_in_bounded_time(self):
+        # Thirteen modular powers of a 60-bit number take microseconds; the
+        # bound is interpreter start-up with a wide margin.  Trial division
+        # up to sqrt(p) = 10^9 did not finish in 20 s.
+        started = time.perf_counter()
+        result = run_process(["norm", "--p", "1000000000000000003", "--f", "X"], timeout=20)
+        assert result == (0, b"norm = e^0\n", b"")
+        assert time.perf_counter() - started < 10
+
+    def test_characteristic_past_the_certified_bound_exits_2(self):
+        assert run_process(["norm", "--p", str(PSI13), "--f", "X"], timeout=20) == (
+            2, b"",
+            f"error: characteristic {PSI13} is too large: primality is certified only "
+            f"below psi_13 = {PSI13}\n".encode(),
+        )
+
+
+# Modules that some commands need and others must not load.
+LAZY = ("tatekit.frobenius", "tatekit.gabber", "csv")
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["norm", "--f", "X + [t]"], set()),
+        (["degree", "--f", "X^2 + [t]X"], set()),
+        (["divide", "--f", "X^2", "--g", "X + [-1]*[t]", "--slack", "e^-6"], set()),
+        (["split", "--f", "X^2 + [t]X + [t^2]"], {"tatekit.frobenius"}),
+        (["gabber", "distance", "--N", "3", "--g", "0"], {"tatekit.gabber"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    # In a fresh process: this one has imported every module already.
+    script = (
+        "import io, sys\n"
+        "import tatekit.cli\n"
+        "assert tatekit.cli.main(sys.argv[1:], io.StringIO()) == 0\n"
+        f"print(sorted(set({LAZY!r}) & set(sys.modules)))\n"
+    )
+    code, out, err = run_child(["-c", script, *argv])
+    assert (code, err) == (0, b"")
+    assert out.decode() == f"{sorted(loaded)}\n"
