@@ -13,12 +13,13 @@ A Laurent series is stored on its integer lattice: the prime p, the
 smallest level L with every exponent and the cutoff in (1/p^L)Z, the
 exponents times p^L as a strictly increasing tuple of ints, a parallel
 tuple of coefficients in 1..p-1, and the cutoff times p^L (or None).
-``make`` checks the prime and the lattice once, at the boundary; ring
-operations align two operands to the finer level and then work on ints
-only, and ``frobenius``/``pth_root`` merely shift the level.  Every
-result is renormalised to its smallest level, so equal values have
-equal representations.  ``terms`` and ``cutoff`` are read-only
-Fraction views, built when read.
+``make`` checks the prime and the lattice once, at the boundary.
+``_align`` is the one code that raises a level (two operands to the
+finer one) and ``_reduced`` the one that lowers it (every result to its
+smallest), so equal values have equal representations.  Ring operations,
+the inverse's truncation, ``frobenius`` (the integers times p) and
+``pth_root`` (one level finer) work on ints between the two.  ``terms``
+and ``cutoff`` are read-only Fraction views, built when read.
 
 Both backends run on one ring kernel: module-level functions over any
 exponent type with ``+``, ``<`` and hashing (lattice ints for
@@ -421,42 +422,19 @@ class LaurentSeries(_Series):
         return LaurentSeries(p, self.level, self._exps, coeffs, self._cut)
 
     def frobenius(self) -> LaurentSeries:
-        """x^p, computed exactly: exponents scale by p, F_p coefficients fix.
-
-        Scaling by p is one level coarser on the same integers; at level
-        0 the integers themselves scale.
-        """
+        """x^p, computed exactly: exponents scale by p, F_p coefficients fix."""
         p, cut = self.p, self._cut
-        if self.level:
-            return LaurentSeries(p, self.level - 1, self._exps, self._coeffs, cut)
-        return LaurentSeries(
+        return _reduced(
             p,
-            0,
+            self.level,
             tuple([e * p for e in self._exps]),
             self._coeffs,
             None if cut is None else cut * p,
         )
 
     def pth_root(self) -> LaurentSeries:
-        """The unique y with y^p = x; refines the exponent lattice.
-
-        Dividing by p is one level finer on the same integers, unless the
-        level is 0 and every integer is p-divisible (then they divide).
-        """
-        p, cut = self.p, self._cut
-        if (
-            self.level
-            or (cut is not None and cut % p)
-            or any(e % p for e in self._exps)
-        ):
-            return LaurentSeries(p, self.level + 1, self._exps, self._coeffs, cut)
-        return LaurentSeries(
-            p,
-            0,
-            tuple([e // p for e in self._exps]),
-            self._coeffs,
-            None if cut is None else cut // p,
-        )
+        """The unique y with y^p = x: the same integers one level finer."""
+        return _reduced(self.p, self.level + 1, self._exps, self._coeffs, self._cut)
 
     def lattice_part(self, level: int) -> LaurentSeries:
         """The terms whose exponents lie in (1/p^level)Z, with the same ball."""
@@ -548,21 +526,12 @@ class LaurentSeries(_Series):
         bound = tau - self._fraction(self._exps[0])
         if y._cut is not None and y.cutoff <= bound:
             return y
-        return y._truncated(bound)
-
-    def _truncated(self, cutoff: Fraction) -> LaurentSeries:
-        """Self with its ball replaced by O(t^cutoff), cutoff below the
-        current one; raises DomainError off the lattice."""
-        p = self.p
-        cut_level = _lattice_level(cutoff, p)
-        level = max(self.level, cut_level)
-        cut = cutoff.numerator * p ** (level - cut_level)
-        exps = self._exps
-        if level > self.level:
-            scale = p ** (level - self.level)
-            exps = [e * scale for e in exps]
+        # Replace y's ball by O(t^bound): align y with that ball and cut
+        # y's terms there; _lattice_level raises DomainError off the lattice.
+        ball = LaurentSeries(p, _lattice_level(bound, p), (), (), bound.numerator)
+        level, exps, _, _, cut = _align(y, ball)
         i = bisect_left(exps, cut)
-        return _reduced(p, level, tuple(exps[:i]), self._coeffs[:i], cut)
+        return _reduced(p, level, tuple(exps[:i]), y._coeffs[:i], cut)
 
     def __str__(self) -> str:
         from .parsing import format_laurent
@@ -585,7 +554,8 @@ _one = lru_cache(maxsize=None)(LaurentSeries.one)
 
 
 def _align(a: LaurentSeries, b: LaurentSeries):
-    """(level, exps of a, cut of a, exps of b, cut of b) at the finer level."""
+    """(level, exps of a, cut of a, exps of b, cut of b) at the finer
+    level: the only code that raises a level."""
     la, lb = a.level, b.level
     if la == lb:
         return la, a._exps, a._cut, b._exps, b._cut
@@ -606,7 +576,10 @@ def _canonical(p: int, level: int, data: dict, cut) -> LaurentSeries:
 
 def _reduced(p: int, level: int, exps: tuple, coeffs: tuple, cut) -> LaurentSeries:
     """Series from canonical terms at a level, moved to the smallest
-    level that holds every exponent and the cutoff."""
+    level that holds every exponent and the cutoff.  The only code that
+    lowers a level: it divides every integer and the cutoff by p while
+    all are p-divisible, so a stored series keeps one integer, or its
+    cutoff, off pZ unless its level is 0."""
     while level and (cut is None or cut % p == 0) and not any(e % p for e in exps):
         exps = tuple([e // p for e in exps])
         if cut is not None:
@@ -672,12 +645,12 @@ class HahnSum(_Series):
             self.p, tuple((e, (c * k) % self.p) for e, c in self.terms), self.cutoff
         )
 
+    # e -> p*e and e -> e/p are strictly increasing, so both keep the
+    # canonical order and each term's place below the cutoff: no ``make``.
     def frobenius(self) -> HahnSum:
-        return HahnSum.make(
-            self.p,
-            {e.scale(self.p): c for e, c in self.terms},
-            None if self.cutoff is None else self.cutoff.scale(self.p),
-        )
+        p, cut = self.p, self.cutoff
+        terms = tuple([(e.scale(p), c) for e, c in self.terms])
+        return HahnSum(p, terms, None if cut is None else cut.scale(p))
 
     def pth_root(self) -> HahnSum:
         """Defined only when every exponent (and cutoff) is p-divisible."""
@@ -693,9 +666,8 @@ class HahnSum(_Series):
                     "not-a-pth-power: cutoff outside the p-divisible subgroup"
                 )
             cutoff = cutoff.divided_by(self.p)
-        return HahnSum.make(
-            self.p, {e.divided_by(self.p): c for e, c in self.terms}, cutoff
-        )
+        terms = tuple([(e.divided_by(self.p), c) for e, c in self.terms])
+        return HahnSum(self.p, terms, cutoff)
 
     def norm(self) -> NormValue:
         if self.terms:

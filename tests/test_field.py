@@ -109,6 +109,39 @@ def untruncated_inverse(x, tau):
     return LaurentSeries.make(p, [(e, a) for e, a in y.terms if e < bound], bound)
 
 
+def ref_inverse(p, terms, cutoff, tau):
+    """The inverse of the canonical (terms, cutoff) to the target tau,
+    from the definitions on a dict of Fractions with no LaurentSeries
+    arithmetic: an exact monomial inverts exactly; otherwise, with v the
+    valuation, the cut is cutoff - 2v when x has a ball and that is at
+    most tau - v, else tau - v (DomainError off the lattice), and the
+    terms below it come from long division by x."""
+    v = min(terms)
+    lead_inv = pow(terms[v], -1, p)
+    if cutoff is None and len(terms) == 1:
+        return {-v: lead_inv}, None
+    if cutoff is not None and cutoff - 2 * v <= tau - v:
+        cut = cutoff - 2 * v
+    else:
+        cut = tau - v
+        den = cut.denominator
+        while den % p == 0:
+            den //= p
+        if den != 1:
+            raise DomainError(f"cut {cut} is off the lattice")
+    # x = c t^v (1 + sum a_d t^d), d > 0 on the grid (1/n)Z, and
+    # s = 1 / (1 + sum a_d t^d) has s_0 = 1, s_k = -sum a_d s_(k-d).
+    a = {e - v: c * lead_inv for e, c in terms.items() if e != v}
+    n = max((d.denominator for d in a), default=1)
+    steps = {int(d * n): c for d, c in a.items()}
+    s = [1]
+    while Fraction(len(s), n) - v < cut:
+        k = len(s)
+        s.append(-sum(c * s[k - d] for d, c in steps.items() if d <= k) % p)
+    y = {Fraction(k, n) - v: c * lead_inv for k, c in enumerate(s)}
+    return ref_canon(p, y, cut)
+
+
 class TestInverse:
     def test_monomial_exact(self):
         t = LaurentSeries.t_power(5, 1)
@@ -158,7 +191,14 @@ class TestInverse:
             # Targets off the lattice (denominator 7) raise in both.
             d = rng.choice([1, p, 7])
             tau = Fraction(rng.randint(1, 10 * d), d)
-            assert outcome(x.inverse, tau) == outcome(untruncated_inverse, x, tau)
+            got = outcome(x.inverse, tau)
+            assert got == outcome(untruncated_inverse, x, tau)
+            ref = outcome(ref_inverse, p, *ref_canon(p, terms, cutoff), tau)
+            assert got[0] == ref[0]
+            if got[0] == "ok":
+                assert_matches(got[1], p, ref[1])
+            else:
+                assert got[1] is ref[1]
 
 
 class TestFrobeniusAndRoot:
