@@ -13,7 +13,7 @@ A Laurent series is stored on its integer lattice: the prime p, the
 smallest level L with every exponent and the cutoff in (1/p^L)Z, the
 exponents times p^L as a strictly increasing tuple of ints, a parallel
 tuple of coefficients in 1..p-1, and the cutoff times p^L (or None).
-``make`` checks the prime and the lattice once, at the boundary.
+``make`` checks the prime and, on surviving terms only, the lattice.
 ``_align`` is the one code that raises a level (two operands to the
 finer one) and ``_reduced`` the one that lowers it (every result to its
 smallest), so equal values have equal representations.  Ring operations,
@@ -111,30 +111,20 @@ class NormValue:
         """-1/0/+1 as real numbers; raises PrecisionError when a bare
         upper bound cannot decide."""
         self._check_same_scale(other)
-        if self.is_zero and other.is_zero:
-            return 0
-        if self.is_zero:
-            if other.is_finite:
-                return -1
-            raise PrecisionError("comparison with a norm upper bound is undecidable")
-        if other.is_zero:
-            if self.is_finite:
-                return 1
-            raise PrecisionError("comparison with a norm upper bound is undecidable")
         if self.is_finite and other.is_finite:
             if self.exponent == other.exponent:
                 return 0
             return 1 if self.exponent < other.exponent else -1
-        # At least one side is only an upper bound e^(-c).
-        if self.is_bound and other.is_finite:
-            if self.exponent > other.exponent:
-                return -1
-            raise PrecisionError("comparison with a norm upper bound is undecidable")
-        if other.is_bound and self.is_finite:
-            if other.exponent > self.exponent:
-                return 1
-            raise PrecisionError("comparison with a norm upper bound is undecidable")
-        raise PrecisionError("comparison of two norm upper bounds is undecidable")
+        if self.is_zero and other.is_zero:
+            return 0
+        # One side is not finite.  0 lies below every finite norm, and a
+        # bound e^(-c) below a finite e^(-v) when c > v; nothing else is known.
+        for low, high, sign in ((self, other, -1), (other, self, 1)):
+            if high.is_finite and (low.is_zero or low.exponent > high.exponent):
+                return sign
+        if self.is_bound and other.is_bound:
+            raise PrecisionError("comparison of two norm upper bounds is undecidable")
+        raise PrecisionError("comparison with a norm upper bound is undecidable")
 
     def root(self, p: int) -> NormValue:
         """The p-th root e^(-exponent/p); Laurent-scale exponents only."""
@@ -319,36 +309,26 @@ class LaurentSeries(_Series):
     def make(cls, p: int, coeffs, cutoff=None) -> LaurentSeries:
         _require_prime(p)
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        pairs = [(Fraction(exponent), int(coeff)) for exponent, coeff in items]
-        level = 0
+        merged: dict[Fraction, int] = {}
+        for exponent, coeff in items:
+            e = Fraction(exponent)
+            merged[e] = merged.get(e, 0) + int(coeff)
+        levels = [0]
         if cutoff is not None:
             cutoff = Fraction(cutoff)
-            level = _lattice_level(cutoff, p)
-        levels: dict[int, int | None] = {1: 0}
-        for e, _ in pairs:
-            den = e.denominator
-            if den not in levels:
-                levels[den] = lv = _denominator_level(den, p)
-                if lv is not None and lv > level:
-                    level = lv
+            levels.append(_lattice_level(cutoff, p))
+        # Only surviving terms must lie on the lattice: a term with a
+        # coefficient 0 mod p, or at or past the cutoff, vanishes.
+        survivors = [
+            (e, c)
+            for e, c in merged.items()
+            if c % p and (cutoff is None or e < cutoff)
+        ]
+        levels += [_lattice_level(e, p) for e, _ in survivors]
+        level = max(levels)
         scale = p**level
-        data: dict[int, int] = {}
-        # Exponents off the lattice are an error only for terms that
-        # survive: a coefficient 0 mod p or a term inside the ball vanishes.
-        off_lattice: dict[Fraction, int] = {}
-        for e, c in pairs:
-            den = e.denominator
-            if levels[den] is None:
-                off_lattice[e] = off_lattice.get(e, 0) + c
-                continue
-            k = e.numerator * (scale // den)
-            data[k] = data.get(k, 0) + c
-        for e, c in off_lattice.items():
-            if c % p and (cutoff is None or e < cutoff):
-                _lattice_level(e, p)  # raises DomainError
-        cut = None
-        if cutoff is not None:
-            cut = cutoff.numerator * (scale // cutoff.denominator)
+        data = {e.numerator * (scale // e.denominator): c for e, c in survivors}
+        cut = None if cutoff is None else int(cutoff * scale)
         return _canonical(p, level, data, cut)
 
     @property
@@ -654,20 +634,17 @@ class HahnSum(_Series):
 
     def pth_root(self) -> HahnSum:
         """Defined only when every exponent (and cutoff) is p-divisible."""
-        for e, _ in self.terms:
-            if not e.signature(self.p).is_zero:
+        p, cut = self.p, self.cutoff
+        named = [(e, "exponent") for e, _ in self.terms]
+        if cut is not None:
+            named.append((cut, "cutoff"))
+        for e, name in named:
+            if not e.signature(p).is_zero:
                 raise DomainError(
-                    "not-a-pth-power: exponent outside the p-divisible subgroup"
+                    f"not-a-pth-power: {name} outside the p-divisible subgroup"
                 )
-        cutoff = self.cutoff
-        if cutoff is not None:
-            if not cutoff.signature(self.p).is_zero:
-                raise DomainError(
-                    "not-a-pth-power: cutoff outside the p-divisible subgroup"
-                )
-            cutoff = cutoff.divided_by(self.p)
-        terms = tuple([(e.divided_by(self.p), c) for e, c in self.terms])
-        return HahnSum(self.p, terms, cutoff)
+        terms = tuple([(e.divided_by(p), c) for e, c in self.terms])
+        return HahnSum(p, terms, None if cut is None else cut.divided_by(p))
 
     def norm(self) -> NormValue:
         if self.terms:

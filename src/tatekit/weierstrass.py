@@ -60,6 +60,12 @@ def divide(
     cap + 1 times, so the PrecisionError is unreachable; it stays as a
     defensive path.
 
+    Working precision.  kappa = max(1, tau - floor_exp + 2) is fixed by
+    the printed output, not a guessed cap to be derived away: the bound
+    above holds for every kappa > 0, but q's terms past the target come
+    from the inverse's truncation at t^kappa and so depend on it.  A
+    margin of +1 in place of +2 changes printed answers.
+
     No scaling.  Dividing by t^-v g, of Gauss norm one, gives r and t^v q
     term for term: the inverse of its dominant coefficient is this one's
     times t^v (``inverse``'s u, rounds and power cuts do not depend on v),

@@ -225,8 +225,9 @@ class TestFrobeniusAndRoot:
 
     def test_hahn_root_requires_divisible_exponents(self):
         x = HahnSum.t_power(2, E1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             x.pth_root()
+        assert str(info.value) == "not-a-pth-power: exponent outside the p-divisible subgroup"
         y = HahnSum.t_power(2, E1.scale(2))
         assert y.pth_root() == HahnSum.t_power(2, E1)
 
@@ -241,6 +242,11 @@ class TestFrobeniusAndRoot:
         with pytest.raises(DomainError) as info:
             x.pth_root()
         assert str(info.value) == "not-a-pth-power: cutoff outside the p-divisible subgroup"
+        # When an exponent and the cutoff both fail, the exponent is named.
+        y = HahnSum.make(2, {E1: 1}, cutoff=E1.scale(3))
+        with pytest.raises(DomainError) as info:
+            y.pth_root()
+        assert str(info.value) == "not-a-pth-power: exponent outside the p-divisible subgroup"
 
     def test_roundtrip(self, rng):
         for _ in range(100):
@@ -287,6 +293,38 @@ class TestResidue:
             assert (x * y).residue() == (x.residue() * y.residue()) % p
 
 
+def norm_pairs():
+    """(left, right, expected) for every pair of zero, finite and bound
+    norms on the Laurent and the Hahn scale, with exponents below, equal
+    to and above each other.  expected is compare's answer, or the text
+    of its PrecisionError, read off the set of reals each norm allows:
+    {0}, {e^-v} or [0, e^-c]."""
+    scales = [
+        [Fraction(-1), Fraction(2), Fraction(3)],
+        [E2, E1, E1.scale(2)],  # 1/sqrt 3 < 1/sqrt 2 < 2/sqrt 2
+    ]
+    for exps in scales:
+        # Each norm with its kind and the least and greatest real it
+        # allows, as ranks: -inf stands for 0 and -i for e^-v, v = exps[i].
+        norms = [(NormValue.zero(), "zero", -math.inf, -math.inf)]
+        for rank, e in enumerate(exps):
+            norms.append((NormValue.finite(e), "finite", -rank, -rank))
+            norms.append((NormValue.at_most(e), "bound", -math.inf, -rank))
+        for left, kind_l, lo_l, hi_l in norms:
+            for right, kind_r, lo_r, hi_r in norms:
+                if hi_l < lo_r:
+                    expected = -1
+                elif lo_l > hi_r:
+                    expected = 1
+                elif lo_l == hi_l == lo_r == hi_r:
+                    expected = 0
+                elif kind_l == kind_r == "bound":
+                    expected = "comparison of two norm upper bounds is undecidable"
+                else:
+                    expected = "comparison with a norm upper bound is undecidable"
+                yield left, right, expected
+
+
 class TestNorm:
     def test_examples(self):
         assert L(11, {2: 1}).norm() == NormValue.finite(Fraction(2))
@@ -294,6 +332,9 @@ class TestNorm:
         assert LaurentSeries.zero(11).norm() == NormValue.zero()
 
     def test_norm_value_comparisons(self):
+        for left, right, expected in norm_pairs():
+            if isinstance(expected, int):
+                assert left.compare(right) == expected, (left, right)
         zero = NormValue.zero()
         small = NormValue.finite(Fraction(3))  # e^-3
         big = NormValue.finite(Fraction(-1))  # e^1
@@ -325,6 +366,11 @@ class TestNorm:
                 finite.compare(bound)
 
     def test_undecidable_bound_comparisons(self):
+        for left, right, expected in norm_pairs():
+            if isinstance(expected, str):
+                with pytest.raises(PrecisionError) as info:
+                    left.compare(right)
+                assert str(info.value) == expected, (left, right)
         with pytest.raises(PrecisionError):
             NormValue.zero().compare(NormValue.at_most(Fraction(1)))
         with pytest.raises(PrecisionError):
@@ -426,11 +472,28 @@ class TestLattice:
     def test_exponent_outside_lattice_rejected(self):
         with pytest.raises(DomainError):
             LaurentSeries.make(2, {Fraction(1, 3): 1})
+        # The first surviving exponent in input order is named, and an
+        # off-lattice cutoff before any term (1/5 lies below 1/3).
+        for terms, cutoff, named in (
+            ({Fraction(1, 5): 1, Fraction(1, 7): 1}, None, "1/5"),
+            ({Fraction(1, 5): 1}, Fraction(1, 3), "1/3"),
+        ):
+            with pytest.raises(DomainError) as info:
+                L(2, terms, cutoff)
+            assert str(info.value) == f"exponent {named} is not in the (1/2^e)Z lattice"
 
     def test_level_promotion_on_mixed_ops(self):
         a = LaurentSeries.t_power(2, Fraction(1, 2))
         b = LaurentSeries.t_power(2, 1)
         assert (a + b).level == 1
+
+    def test_vanishing_terms_may_lie_off_the_lattice(self):
+        # Only surviving terms are checked: 2 = 0 mod 2, and 5/3 is past
+        # the cutoff.
+        zero = L(2, {Fraction(1, 3): 2})
+        assert zero == LaurentSeries.zero(2) and zero.level == 0
+        x = L(2, {0: 1, Fraction(5, 3): 1}, cutoff=1)
+        assert x == L(2, {0: 1}, cutoff=1) and x.level == 0
 
 
 # A reference kernel for the differential test: a series is a pair
