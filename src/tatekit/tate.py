@@ -16,15 +16,16 @@ Checks stay where a coefficient can come from a caller: ``constant``,
 Operations: ring arithmetic with documented slack propagation, the Gauss
 norm, unit and distinguished-order tests, the degree function that makes
 the one-variable algebra Euclidean, shear automorphisms
-X_i -> X_i +/- X_n^(a_i), a verified search for shears making given
-elements distinguished in the last variable, and the projection killing
-all but one variable.
+X_i -> X_i +/- X_n^(a_i), a search for shears making given elements
+distinguished in the last variable (decided on their reductions over
+F_p), and the projection killing all but one variable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BackendMismatch, DomainError, PrecisionError, SearchExhausted
@@ -270,18 +271,27 @@ def euclid_degree(f: TateElem) -> int:
     return _dominant_degree(f, 0)[0]
 
 
-def _binomial_row(k: int, p: int, sign: int) -> list[tuple[int, int]]:
-    """(j, C(k, j) sign^j mod p) for the j with C(k, j) nonzero mod p: by Lucas'
-    theorem, the j whose base-p digits are at most k's, prod (k_d + 1) of them."""
-    row, place = [(0, 1)], 1
+def _lucas_entry(k: int, p: int, r: int) -> tuple[int, int] | None:
+    """The r-th of the j with C(k, j) nonzero mod p, largest (j = k) at
+    r = 0, and C(k, j) mod p, or None past the last: j's base-p digits are
+    k's minus r's digits in the mixed radix k_d + 1, least significant
+    first, and C(k, j) is the product of the digits' binomials (Lucas)."""
+    j, c, place = 0, 1, 1
     while k:
         k, digit = divmod(k, p)
-        row = [
-            (j + i * place, c * math.comb(digit, i) % p)
-            for j, c in row
-            for i in range(digit + 1)
-        ]
+        r, back = divmod(r, digit + 1)
+        j += (digit - back) * place
+        c = c * math.comb(digit, back) % p
         place *= p
+    return None if r else (j, c)
+
+
+def _binomial_row(k: int, p: int, sign: int) -> list[tuple[int, int]]:
+    """(j, C(k, j) sign^j mod p) for the j with C(k, j) nonzero mod p, largest
+    first: prod (k_d + 1) of them, by Lucas' theorem (see _lucas_entry)."""
+    row = []
+    while (entry := _lucas_entry(k, p, len(row))) is not None:
+        row.append(entry)
     return [(j, c * sign**j % p) for j, c in row]
 
 
@@ -308,20 +318,102 @@ def apply_automorphism(
     return _from_pairs(f.n, f.char, pairs, f.slack)
 
 
+def _top_part_is_constant(bar, exponents: tuple[int, ...], p: int) -> bool:
+    """Whether the top X_n-degree part of the image of the F_p polynomial
+    bar ((multi-index, int) pairs) under X_i -> X_i + X_n^(a_i), every
+    a_i >= 1, is a constant (see find_distinguishing_automorphism).
+
+    Past the top degree, the Lucas terms are popped from a heap by
+    decreasing X_n-degree.  Term (i, pos) takes the pos[k]-th largest
+    entry of each sheared variable's Lucas row; its children raise one
+    position at or after its last nonzero one.  So each term has one
+    parent (lower its last nonzero position) and lies no higher than it,
+    every degree is complete when the next pop is lower, and the walk
+    stops after the first degree whose sum is nonzero.  It pops the terms
+    at or above that degree and one more, and pushes one root per term of
+    bar and at most n - 1 children per pop.
+    """
+    top, lead = -1, 0
+    for alpha, r in bar:
+        degree = alpha[-1] + sum(map(operator.mul, exponents, alpha))
+        if degree > top:
+            top, lead = degree, 0
+        if degree == top:
+            lead += r
+    if lead % p:
+        return True
+    import heapq  # only a cancelling top walks down, so only it loads heapq
+
+    heap = []
+
+    def push(i, pos, last):
+        alpha, c = bar[i]
+        js = []
+        for k, s in zip(alpha, pos):
+            entry = _lucas_entry(k, p, s)
+            if entry is None:
+                return
+            js.append(entry[0])
+            c = c * entry[1] % p
+        degree = alpha[-1] + sum(map(operator.mul, exponents, js))
+        heapq.heappush(heap, (-degree, i, pos, last, js, c))
+
+    for i in range(len(bar)):
+        push(i, (0,) * len(exponents), 0)
+    level, part = None, {}
+    while heap:
+        key, i, pos, last, js, c = heapq.heappop(heap)
+        if key != level:
+            if part:
+                break
+            level = key
+        index = tuple(map(operator.sub, bar[i][0], js))
+        c = (part.pop(index, 0) + c) % p
+        if c:
+            part[index] = c
+        for k in range(last, len(pos)):
+            push(i, pos[:k] + (pos[k] + 1,) + pos[k + 1 :], k)
+    return list(part) == [(0,) * len(exponents)]
+
+
 def find_distinguishing_automorphism(gs: list[TateElem]) -> AutomorphismSpec:
     """Search for a shear making every input distinguished in X_n.
 
     Tries the identity-like zero exponent vector first, then the
     staircase a_i = 1 + c * (D+1)^(n-i) for c = 0, 1, where D is the
-    maximal total degree; every candidate is verified with
-    distinguished_order rather than trusted.  Any c >= 1 works: the shear
-    sends X^alpha to X_n^e plus terms of lower X_n-degree, where
-    e = |alpha| + c (D+1) M and M has base-(D+1) digits alpha_1..alpha_{n-1}.
-    As |alpha| <= D < c (D+1), e is injective on the support, so the
-    norm-attaining term with the largest e alone reaches X_n^e at full
-    norm, as a constant coefficient: the largest index attaining the
-    Gauss norm has a unit coefficient.  The error is therefore
-    unreachable and kept as a defensive path.
+    maximal total degree, and returns the first candidate that makes
+    every input distinguished.
+
+    Each candidate is decided on g's reduction, with no expansion.  Let
+    e^-v be the Gauss norm of g and gbar = sum r_alpha X^alpha in F_p[X],
+    r_alpha the t^v-coefficient of c_alpha, nonzero exactly where c_alpha
+    attains the norm.  A shear and its inverse have coefficients +/-1, so
+    they map the unit ball onto itself and commute with reduction: the
+    reduction of t^-v sigma(g) is sigmabar(gbar), nonzero as sigmabar is
+    invertible.  So the largest X_n-degree s at which sigma(g) attains
+    its Gauss norm is the top X_n-degree of sigmabar(gbar), and that
+    coefficient, a series in X' = X_1..X_(n-1), is a unit (the test of
+    distinguished_order) exactly when its reduction, the X_n^s part of
+    sigmabar(gbar), is a nonzero constant.
+    - The zero candidate X_i -> X_i + 1 keeps every X_n-degree and only
+      translates X', so that part is a constant exactly when gbar's is:
+      it succeeds exactly when g is already distinguished.
+    - For a_i >= 1, by Lucas' theorem sigmabar(X^alpha) is the sum over
+      j <= alpha' digitwise in base p of C(alpha', j) X'^(alpha' - j)
+      X_n^(alpha_n + a.j).  The top degree M = max (alpha_n + a.alpha')
+      is reached only at j = alpha', with X'-index 0, so its part is the
+      constant sum of r_alpha over the alpha at M, and the candidate
+      succeeds when that is nonzero mod p.  Otherwise
+      _top_part_is_constant walks the degrees downward, so its work
+      follows the terms of the expansion at or above the answer's degree,
+      not the whole expansion.
+    Any c >= 1 works: the shear sends X^alpha to X_n^e plus terms of
+    lower X_n-degree, where e = |alpha| + c (D+1) M and M has base-(D+1)
+    digits alpha_1..alpha_{n-1}.  As |alpha| <= D < c (D+1), e is
+    injective on the support, so the norm-attaining term with the largest
+    e alone reaches X_n^e at full norm, as a constant coefficient: the
+    largest index attaining the Gauss norm has a unit coefficient.  The
+    error is therefore unreachable and kept as a defensive path.
     """
     if not gs:
         raise DomainError("need at least one series")
@@ -336,16 +428,19 @@ def find_distinguishing_automorphism(gs: list[TateElem]) -> AutomorphismSpec:
             raise DomainError("zero-input: zero is never distinguished")
     if n == 1:
         return AutomorphismSpec(())
+    reports = [distinguished_order(g, n) for g in gs]
+    if all(report.is_distinguished for report in reports):
+        return AutomorphismSpec(tuple([0] * (n - 1)))
+    bars = [
+        [(idx, c.coefficient(norm.exponent)) for idx, c in g.terms if c.norm() == norm]
+        for g, norm in zip(gs, (report.dominant_norm for report in reports))
+    ]
     degree = max(g.total_degree() for g in gs)
     weights = [(degree + 1) ** (n - 1 - i) for i in range(n - 1)]
-    candidates = [tuple(1 + c * w for w in weights) for c in range(2)]
-    for exponents in [tuple([0] * (n - 1))] + candidates:
-        spec = AutomorphismSpec(exponents)
-        if all(
-            distinguished_order(apply_automorphism(spec, g), n).is_distinguished
-            for g in gs
-        ):
-            return spec
+    for c in range(2):
+        exponents = tuple(1 + c * w for w in weights)
+        if all(_top_part_is_constant(bar, exponents, char) for bar in bars):
+            return AutomorphismSpec(exponents)
     raise SearchExhausted("no distinguishing shear within the degree bound")
 
 

@@ -81,6 +81,21 @@ def test_enclose_zero_vector():
     assert iv.lo == 0 and iv.hi == 0
 
 
+@pytest.mark.parametrize("width", [0, Fraction(0), -1])
+def test_enclose_rejects_a_width_that_is_not_positive(width):
+    # A width of 0 is refused like a negative one, before any division.
+    with pytest.raises(ValueError, match="^width must be positive$"):
+        enclose(E1, width)
+
+
+def test_zero_vector_at_an_open_endpoint():
+    # The value 0 is the endpoint itself, so it lies in neither interval.
+    zero = ExponentVector.zero()
+    assert not certify_in_open_interval(zero, Fraction(0), Fraction(1))
+    assert not certify_in_open_interval(zero, Fraction(-1), Fraction(0))
+    assert certify_in_open_interval(zero, Fraction(-1), Fraction(1))
+
+
 def test_compare_examples():
     assert compare(E1, E1) == 0
     # 1/sqrt(2) > 1/sqrt(3) since squares compare as 1/2 > 1/3.

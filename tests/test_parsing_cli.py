@@ -599,17 +599,26 @@ class TestCliRegistry:
         assert err.startswith(f"usage error: {missing}")
 
 
-def run_process(argv, timeout=60):
+def run_process(argv, timeout=60, memory=None):
     """``python -W error -m tatekit.cli`` in a child that imports the same
     tatekit as this process; returns (exit code, stdout bytes, stderr bytes)."""
-    return run_child(["-m", "tatekit.cli", *argv], timeout)
+    return run_child(["-m", "tatekit.cli", *argv], timeout, memory)
 
 
-def run_child(args, timeout=60):
+def run_child(args, timeout=60, memory=None):
+    """As run_process; memory caps the child's address space in bytes."""
     path = [str(Path(tatekit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    limit = None
+    if memory is not None:
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
     done = subprocess.run(
         [sys.executable, "-W", "error", *args], capture_output=True, env=env, timeout=timeout,
+        preexec_fn=limit,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -643,6 +652,26 @@ class TestCliProcess:
             f"error: characteristic {PSI13} is too large: primality is certified only "
             f"below psi_13 = {PSI13}\n".encode(),
         )
+
+    @pytest.mark.parametrize(
+        "f,alphas",
+        [
+            # (X1 + X3)^4095 (X2 + X3)^4095 X3 has 2^24 terms; its top X3^8191
+            # alone decides the first shear.
+            ("X1^4095*X2^4095*X3", b"1,1"),
+            # Under a = (1, 1) both terms reach X3^8191 and cancel mod 2; at
+            # X3^8190 the part is X1, not a constant, so the staircase wins.
+            ("X1^4095*X2^4095*X3 + X1^4094*X2^4095*X3^2", b"67108865,8193"),
+        ],
+    )
+    def test_shear_search_work_is_bounded(self, f, alphas):
+        # The search reads the top of each sheared reduction, not the
+        # expansion, which ran out of 2 GB after 40 s on the first input.
+        # The bounds are interpreter start-up with a wide margin.
+        started = time.perf_counter()
+        result = run_process(["automorph", "--p", "2", "--f", f], timeout=20, memory=1 << 29)
+        assert result == (0, b"alphas = " + alphas + b"\n", b"")
+        assert time.perf_counter() - started < 10
 
 
 # Modules that some commands need and others must not load.

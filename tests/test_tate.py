@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,12 +10,14 @@ import pytest
 
 from tatekit.cli import main
 from tatekit.errors import BackendMismatch, DomainError, PrecisionError
-from tatekit.field import LaurentSeries, NormValue
+from tatekit.exponents import ExponentVector
+from tatekit.field import HahnSum, LaurentSeries, NormValue
 from tatekit.selftest import sample_tate
 from tatekit.tate import (
     AutomorphismSpec,
     DistinguishedReport,
     TateElem,
+    _lucas_entry,
     apply_automorphism,
     distinguished_order,
     euclid_degree,
@@ -356,6 +359,56 @@ class TestFindAutomorphism:
                 report = distinguished_order(apply_automorphism(spec, g), n)
                 assert report.is_distinguished
 
+    def test_first_candidate_by_expansion(self):
+        # The search decides each candidate on the reduction; the oracle
+        # expands every candidate and asks distinguished_order.  Most draws
+        # put several terms on one total degree at one norm, so the top of
+        # a = (1, ..., 1) often cancels mod p and the search walks down.
+        rng = random.Random(22)
+        answers, cancelled, hahn = set(), 0, 0
+        for _ in range(300):
+            p, n = rng.choice([2, 3, 5]), rng.choice([2, 3])
+            use_hahn = rng.random() < 0.25
+            gs = [draw_search_input(rng, p, n, use_hahn) for _ in range(rng.randint(1, 2))]
+            degree = max(g.total_degree() for g in gs)
+            weights = [(degree + 1) ** (n - 1 - i) for i in range(n - 1)]
+            candidates = [(0,) * (n - 1)] + [tuple(1 + c * w for w in weights) for c in range(2)]
+            reports = [
+                [distinguished_order(apply_automorphism(AutomorphismSpec(a), g), n) for g in gs]
+                for a in candidates
+            ]
+            first = next(k for k, row in enumerate(reports) if all(r.is_distinguished for r in row))
+            assert find_distinguishing_automorphism(gs).exponents == candidates[first]
+            answers.add(first)
+            # Under a = (1, ..., 1) the top of the reduction cancelled when
+            # the sheared order is below the largest |alpha| at full norm.
+            cancelled += any(
+                r.order < max(sum(idx) for idx, c in g.terms if c.norm() == r.dominant_norm)
+                for g, r in zip(gs, reports[1])
+            )
+            hahn += use_hahn
+        assert answers == {0, 1, 2} and cancelled >= 50 and hahn >= 40
+
+
+def draw_search_input(rng, p, n, use_hahn):
+    """A nonzero element with 1-4 terms whose coefficients are r t^v plus
+    a term of smaller norm, v mostly 0; most indices share one total degree."""
+    zero, step = (ExponentVector.zero(), ExponentVector.unit(2)) if use_hahn else (0, 1)
+    make = HahnSum.make if use_hahn else LaurentSeries.make
+    total = rng.randint(1, 3 * n)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.7:
+            index = [0] * n
+            for _ in range(total):
+                index[rng.randrange(n)] += 1
+        else:
+            index = [rng.randint(0, 3) for _ in range(n)]
+        v = zero if rng.random() < 0.8 else zero + step
+        coeff = make(p, {v: rng.randint(1, p - 1), v + step: rng.randint(1, p - 1)})
+        terms[tuple(index)] = coeff
+    return TateElem.make(n, p, terms)
+
 
 class TestProjection:
     def test_examples(self):
@@ -527,6 +580,14 @@ class TestLucasExpansion:
                 f = f + TateElem.constant(len(index), one(p))
                 expected = shear_by_every_binomial(spec, f, inverse)
                 assert apply_automorphism(spec, f, inverse) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_lucas_entries_run_down_the_row(self, p):
+        # The search walks each row from the largest j down, so the order
+        # is part of the contract; None ends the row.
+        for k in range(200):
+            row = [(j, math.comb(k, j) % p) for j in range(k, -1, -1) if math.comb(k, j) % p]
+            assert [_lucas_entry(k, p, r) for r in range(len(row) + 1)] == row + [None]
 
     def test_power_of_two_has_two_terms(self):
         # (X1 + X2)^(2^15) = X1^(2^15) + X2^(2^15) in characteristic 2.
