@@ -45,6 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import compress
 from typing import Union
 
@@ -457,20 +458,18 @@ class LaurentSeries(_Series):
         return _residue(self._exps, self._coeffs, self._cut, 0)
 
     def inverse(self, target_cutoff) -> LaurentSeries:
-        """y with x*y = 1 + O(t^target), by a truncated geometric series.
+        """y with x*y = 1 + O(t^target), by the power-series recurrence.
 
         Exact (no ball) when x is an exact monomial; otherwise y carries
         a cutoff so that the product identity holds at the target.
 
-        With x = c t^v (1 + u), y is c^-1 t^-v times s = sum (-u)^k,
-        truncated at tau - v: it reads only s's terms below tau and
-        min(tau, cutoff of s).  So each power drops its terms at or above
-        tau, keeping its ball, and y is what whole powers give.  u has
-        positive valuation, so a dropped term feeds only exponents above
-        tau.  The next product's ball, min(v*(power) + cut(u),
-        v*(u) + cut(power)) as in ``_product_cut``, changes only in its
-        first candidate when no term of power is below tau, and then that
-        candidate exceeds tau before and after.
+        With x = c t^v (1 + u) and u = sum a_d t^(d/p^L) over u's lattice
+        ints d > 0, s = 1/(1 + u) has s_0 = 1 and s_k = -sum a_d s_(k-d)
+        mod p.  s is cut at min(tau, cut(u)): u's ball bounds the error fed
+        into s, and a cut at tau must lie on the lattice (DomainError).
+        As s_k is nonzero only where some s_(k-d) is, a heap runs k over
+        those sums below the cut, smallest first: |u| steps per term of s,
+        at any level.  Then y = c^-1 t^-v s has the ball min(tau, cut(u)) - v.
         """
         if not self._exps:
             raise PrecisionError(
@@ -484,34 +483,25 @@ class LaurentSeries(_Series):
         u = self * lead_inv - _one(p)
         if u.is_zero:
             return lead_inv
-        drop = u._exps[0] if u._exps else u._cut
-        if drop <= 0:
-            raise DomainError("inverse: tail does not contract (internal error)")
-        # ceil(tau / drop) with drop = drop_int / p^level(u).
-        rounds = max(
-            1, -((-tau.numerator * p**u.level) // (tau.denominator * drop))
-        )
-        # A power's level is at most u's; at level k its lattice ints
-        # from ceil(tau p^k) on lie at or above tau.
-        limits = [-(-tau * p**k // 1) for k in range(u.level + 1)]
-        acc = _one(p)
-        power = _one(p)
-        for _ in range(1, rounds):
-            power = power * (-u)
-            exps, level = power._exps, power.level
-            if (i := bisect_left(exps, limits[level])) < len(exps):
-                power = _reduced(p, level, exps[:i], power._coeffs[:i], power._cut)
-            acc = acc + power
-        y = acc * lead_inv
-        bound = tau - self._fraction(self._exps[0])
-        if y._cut is not None and y.cutoff <= bound:
-            return y
-        # Replace y's ball by O(t^bound): align y with that ball and cut
-        # y's terms there; _lattice_level raises DomainError off the lattice.
-        ball = LaurentSeries(p, _lattice_level(bound, p), (), (), bound.numerator)
-        level, exps, _, _, cut = _align(y, ball)
-        i = bisect_left(exps, cut)
-        return _reduced(p, level, tuple(exps[:i]), y._coeffs[:i], cut)
+        level, ints, cut = u.level, u._exps, u._cut
+        if cut is None or u.cutoff > tau:
+            # Align u with the ball O(t^tau); _lattice_level raises
+            # DomainError when tau is off the lattice.
+            ball = LaurentSeries(p, _lattice_level(tau, p), (), (), tau.numerator)
+            level, ints, _, _, cut = _align(u, ball)
+        steps = tuple(zip(ints, u._coeffs))
+        s = {}
+        todo = [0] if cut > 0 else []
+        while todo:
+            k = heappop(todo)
+            if k not in s:
+                s[k] = c = -sum([a * s.get(k - d, 0) for d, a in steps]) % p if k else 1
+                if c:
+                    for d in ints[: bisect_left(ints, cut - k)]:
+                        heappush(todo, k + d)
+        exps = tuple([k for k, c in s.items() if c])
+        coeffs = tuple([c for c in s.values() if c])
+        return _reduced(p, level, exps, coeffs, cut) * lead_inv
 
     def __str__(self) -> str:
         from .parsing import format_laurent

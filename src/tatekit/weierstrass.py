@@ -68,9 +68,10 @@ def divide(
 
     No scaling.  Dividing by t^-v g, of Gauss norm one, gives r and t^v q
     term for term: the inverse of its dominant coefficient is this one's
-    times t^v (``inverse``'s u, rounds and power cuts do not depend on v),
-    so its steps are this one's times t^v and cancel t^-v in step * g; v
-    is on its coefficient's lattice, so the common level is the same.
+    times t^v (``inverse``'s u and the recurrence's range do not depend
+    on v), so its steps are this one's times t^v and cancel t^-v in
+    step * g; v is on its coefficient's lattice, so the common level is
+    the same.
     """
     _require_exact_t1(f, "dividend")
     _require_exact_t1(g, "divisor")

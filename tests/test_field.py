@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,8 +91,8 @@ class TestValuation:
 
 def untruncated_inverse(x, tau):
     """The geometric series sum (-u)^k of x = c t^v (1 + u) with every
-    power kept whole, truncated once at the end: the reference for
-    ``inverse``, which cuts each power at tau."""
+    power kept whole, truncated once at the end: a reference for
+    ``inverse``, which runs the recurrence for 1/(1 + u) instead."""
     p = x.p
     v, c = x.terms[0]
     lead_inv = LaurentSeries.t_power(p, -v, pow(c, -1, p))
@@ -199,6 +200,53 @@ class TestInverse:
                 assert_matches(got[1], p, ref[1])
             else:
                 assert got[1] is ref[1]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_long_division_oracle(self, rng, p):
+        for _ in range(40):
+            # c t^v (1 + up to five terms, some 0 mod p) at level 0..3,
+            # with a ball on 40% of the draws; targets from -8 to 30, on
+            # and off the lattice (denominator 3, or 2 when p is 3).
+            den = p ** rng.randint(0, 3)
+            v = Fraction(rng.randint(-8, 8), den)
+            terms = {v + Fraction(rng.randint(1, 6 * den), den): rng.randint(0, p - 1)
+                     for _ in range(rng.randint(0, 5))}
+            terms[v] = rng.randint(1, p - 1)
+            cutoff = None
+            if rng.random() < 0.4:
+                cutoff = v + Fraction(rng.randint(1, 8 * den), den)
+            x = LaurentSeries.make(p, terms, cutoff)
+            d = rng.choice([1, p, p * p, 2 if p == 3 else 3])
+            tau = Fraction(rng.randint(-8 * d, 30 * d), d)
+            got = outcome(x.inverse, tau)
+            ref = outcome(ref_inverse, p, *ref_canon(p, terms, cutoff), tau)
+            assert got[0] == ref[0]
+            if got[0] == "ok":
+                assert_matches(got[1], p, ref[1])
+            else:
+                assert got[1] is ref[1]
+
+    def test_long_target_within_time(self):
+        # The recurrence costs |u| steps per term of the inverse; summing
+        # whole powers of u took quadratic time (1.1-1.3 s on a 2-vCPU
+        # x86-64 host).
+        p, terms, tau = 2, {0: 1, Fraction(1, 2): 1, 3: 1}, Fraction(2000)
+        x = L(p, terms)
+        started = time.perf_counter()
+        y = x.inverse(tau)
+        assert time.perf_counter() - started < 0.2
+        assert_matches(y, p, ref_inverse(p, terms, None, tau))
+
+    def test_work_follows_the_terms_not_the_level(self):
+        # Level 7 at p = 7 puts 4 * 7^7 lattice points below the target,
+        # where the inverses have 10 and 4 terms; a recurrence stepping
+        # through every point takes about 1 s on a 2-vCPU x86-64 host.
+        p, fine = 7, Fraction(1, 7**7)
+        for x in (L(p, {0: 1, 1: 1, 1 + fine: 1}), L(p, {0: 1, 1: 1}, 3 + fine)):
+            started = time.perf_counter()
+            y = x.inverse(4)
+            assert time.perf_counter() - started < 0.2
+            assert y == untruncated_inverse(x, 4)
 
 
 class TestFrobeniusAndRoot:
