@@ -12,6 +12,10 @@ enclosures refined until they exclude that rational.
 
 The coset structure modulo a prime p (coordinatewise reduction) and the
 generators as bounded coset representatives are also provided.
+
+``ExponentVector`` and ``CosetSignature`` are immutable ``__slots__`` records
+(``_Record``, shared with ``field.py``) that act as frozen dataclasses but equal
+no tuple; a vector caches its hash and 2^-208 enclosure in two more slots.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt
+from operator import attrgetter
 
 from .errors import DomainError
 
@@ -122,21 +127,64 @@ class RealInterval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class CosetSignature:
+class _Record:
+    """An immutable record on ``__slots__``, equal only to a record of its
+    own class with equal ``_fields``, hashed as their tuple and printed as
+    a frozen dataclass; later slots are caches.  ``_setters`` writes slots."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # The fields' tuple in one C call (one name gives a bare value).
+        get = attrgetter(*cls._fields)
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, *value):  # *value: __delattr__ passes none
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (self.__class__, self._values)
+
+
+def _setters(cls) -> list:
+    """The setter of each of cls's own slots, in ``__slots__`` order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+class CosetSignature(_Record):
     """Coordinatewise residues mod p; equal signatures = same coset of
     the subgroup of p-divisible vectors."""
 
-    p: int
-    residues: tuple[tuple[int, int], ...]  # (generator index, residue in 1..p-1)
+    __slots__ = _fields = ("p", "residues")
+
+    def __init__(self, p: int, residues: tuple[tuple[int, int], ...]):
+        _set_sig_p(self, p)
+        _set_residues(self, residues)  # (generator index, residue in 1..p-1)
 
     @property
     def is_zero(self) -> bool:
         return not self.residues
 
 
-@dataclass(frozen=True)
-class ExponentVector:
+_set_sig_p, _set_residues = _setters(CosetSignature)
+
+
+class ExponentVector(_Record):
     """Finitely supported integer coordinate vector over the generators.
 
     Canonical form: coordinates sorted by ascending generator index, no
@@ -144,7 +192,25 @@ class ExponentVector:
     sum(coeff / sqrt(nth_prime(index))).
     """
 
-    coords: tuple[tuple[int, int], ...]
+    __slots__ = ("coords", "_hash", "_enclosure")
+    _fields = ("coords",)
+
+    def __init__(self, coords: tuple[tuple[int, int], ...]):
+        _set_coords(self, coords)
+        _set_hash(self, None)
+        _set_enclosure(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExponentVector:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.coords,))
+            _set_hash(self, h)
+        return h
 
     @classmethod
     def from_dict(cls, data: dict[int, int]) -> ExponentVector:
@@ -202,23 +268,37 @@ class ExponentVector:
         residues = tuple((i, c % p) for i, c in self.coords if c % p)
         return CosetSignature(p, residues)
 
-    @cached_property
+    @property
     def _fast_bounds(self) -> tuple[int, int]:
         """_bounds at _TABLE_BITS, read from the table of constants."""
-        return _bounds(self, _TABLE_BITS)
+        bounds = self._enclosure
+        if bounds is None:
+            bounds = _bounds(self, _TABLE_BITS)
+            _set_enclosure(self, bounds)
+        return bounds
 
-    # Total order by real value.  Equality is coordinate equality; the
-    # cached bounds decide almost every strict comparison, _sign the rest.
-    # a > b and a >= b run as the reflected b < a and b <= a.
+    # The one order rule, by real value: the cached bounds (read from the
+    # slot, filled by the property when empty) settle almost every pair,
+    # _sign the rest.  Equal coordinates give equal bounds, so equality is
+    # tested only on overlap.  a > b runs as b < a, a <= b as not b < a.
     def __lt__(self, other: ExponentVector) -> bool:
-        return compare(self, other) < 0
+        alo, ahi = self._enclosure or self._fast_bounds
+        blo, bhi = other._enclosure or other._fast_bounds
+        if ahi < blo:
+            return True
+        if alo > bhi or self.coords == other.coords:
+            return False
+        return _sign(self - other, 0) < 0
 
     def __le__(self, other: ExponentVector) -> bool:
-        return compare(self, other) <= 0
+        return not other < self
 
     def __str__(self) -> str:
         inner = ", ".join(f"{i}:{c}" for i, c in self.coords)
         return f"[{inner}]"
+
+
+_set_coords, _set_hash, _set_enclosure = _setters(ExponentVector)
 
 
 def _bounds(vec: ExponentVector, bits: int) -> tuple[int, int]:
@@ -271,6 +351,8 @@ def _sign(vec: ExponentVector, r: Fraction) -> int:
     |value - r| >= 1 / (d sqrt(Q) M^(2^k - 1)), while the enclosure width
     is at most sum|c_i| / 2^bits, which falls below it.
     """
+    if not vec.coords:  # the loop would never end
+        raise ValueError("_sign needs a nonzero vector")
     n, d = Fraction(r).as_integer_ratio()
     bits = _TABLE_BITS
     while True:
@@ -286,12 +368,7 @@ def compare(a: ExponentVector, b: ExponentVector) -> int:
     """-1, 0, or +1 by real value; 0 exactly when coordinates coincide."""
     if a.coords == b.coords:
         return 0
-    (alo, ahi), (blo, bhi) = a._fast_bounds, b._fast_bounds
-    if alo > bhi:
-        return 1
-    if ahi < blo:
-        return -1
-    return _sign(a - b, 0)
+    return -1 if a < b else 1
 
 
 def certify_in_open_interval(

@@ -25,10 +25,11 @@ Both backends run on one ring kernel: module-level functions over any
 exponent type with ``+``, ``<`` and hashing (lattice ints for
 ``LaurentSeries``, ``ExponentVector`` for ``HahnSum``) that hold the
 sum, the product, the product's ball, the canonical form and the
-residue, each once.  The base class ``_Series`` holds the constructors,
-the backend check, negation and subtraction.  What stays per backend is
-how an element is stored, how its exponents are aligned (the lattice
-level), ``frobenius``, ``pth_root`` and ``inverse``.
+residue, each once; Hahn sums presort by the exponents' cached
+enclosures before the canonical sort.  The base class ``_Series`` holds
+the constructors, the backend check, negation and subtraction.  What
+stays per backend is how an element is stored, how its exponents are
+aligned (the lattice level), ``frobenius``, ``pth_root`` and ``inverse``.
 
 Norms are written multiplicatively as e^(-v); ``NormValue`` is the one
 record of both norm and valuation for both backends.  It carries the
@@ -37,6 +38,10 @@ for the Hahn backend: ``finite`` when v is the exact valuation (the
 least explicit exponent), ``at_most`` when only the ball bounds it
 (v >= cutoff), or ``zero``.  Ordering of norms reverses the ordering of
 exponents, and |0| = 0 is the minimum.
+
+``LaurentSeries`` and ``NormValue`` are immutable ``__slots__`` records
+on ``exponents._Record`` (equality, hashing as their fields' tuple,
+immutability, pickling); ``HahnSum`` is a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from itertools import compress
 from typing import Union
 
 from .errors import BackendMismatch, DomainError, PrecisionError
-from .exponents import ExponentVector, _require_prime
+from .exponents import ExponentVector, _Record, _require_prime, _setters
 
 Exponent = Union[Fraction, ExponentVector]
 
@@ -59,12 +64,14 @@ _FINITE = "finite"
 _AT_MOST = "at_most"
 
 
-@dataclass(frozen=True)
-class NormValue:
+class NormValue(_Record):
     """|x| = e^(-exponent), |0| = 0, or an upper bound e^(-exponent)."""
 
-    kind: str
-    exponent: Exponent | None = None
+    __slots__ = _fields = ("kind", "exponent")
+
+    def __init__(self, kind: str, exponent: Exponent | None = None):
+        _set_kind(self, kind)
+        _set_exponent(self, exponent)
 
     @classmethod
     def zero(cls) -> NormValue:
@@ -136,6 +143,9 @@ class NormValue:
         return NormValue(self.kind, self.exponent / p)
 
 
+_set_kind, _set_exponent = _setters(NormValue)
+
+
 def _lattice_level(exponent: Fraction, p: int) -> int:
     """The e with exponent's denominator equal to p^e; at level e the
     exponent is the integer exponent.numerator."""
@@ -193,12 +203,17 @@ def _product_cut(v_a, cut_a, v_b, cut_b):
     return cut
 
 
-def _canonical_terms(p: int, data: dict, cut):
+def _canonical_terms(p: int, data: dict, cut, presort=None):
     """Increasing exponents and their coefficients in 1..p-1 from
     exponent -> unreduced coefficient, without the exponents at or past
     the cutoff.  Coefficients 0 mod p go before sorting: a comparison of
-    Hahn exponents may refine interval enclosures."""
-    exps = sorted([e for e, c in data.items() if c % p])
+    Hahn exponents may refine interval enclosures.  The comparison sort
+    defines the order; Hahn sums presort by cached enclosure, so it meets
+    ordered input: n - 1 comparisons, settled by bounds unless two overlap."""
+    exps = [e for e, c in data.items() if c % p]
+    if presort is not None:
+        exps.sort(key=presort)
+    exps.sort()
     if cut is not None:
         del exps[bisect_left(exps, cut):]
     return exps, [data[e] % p for e in exps]
@@ -258,7 +273,7 @@ class _Series:
         return self + (-other)
 
 
-class LaurentSeries(_Series):
+class LaurentSeries(_Record, _Series):
     """Laurent series over F_p with exponents in (1/p^L)Z plus a ball.
 
     The constructor takes the canonical lattice form as stored (see the
@@ -266,7 +281,8 @@ class LaurentSeries(_Series):
     other class methods.
     """
 
-    __slots__ = ("p", "level", "_exps", "_coeffs", "_cut", "_terms", "_norm")
+    _fields = ("p", "level", "_exps", "_coeffs", "_cut")
+    __slots__ = _fields + ("_terms", "_norm")
     _zero_exponent = 0
     _kind = "Laurent series"
 
@@ -276,29 +292,6 @@ class LaurentSeries(_Series):
         _set_exps(self, exps)
         _set_coeffs(self, coeffs)
         _set_cut(self, cut)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LaurentSeries is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        state = (self.p, self.level, self._exps, self._coeffs, self._cut)
-        return (LaurentSeries, state)
-
-    def __eq__(self, other):
-        if other.__class__ is not LaurentSeries:
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.level == other.level
-            and self._exps == other._exps
-            and self._coeffs == other._coeffs
-            and self._cut == other._cut
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.level, self._exps, self._coeffs, self._cut))
 
     def __repr__(self) -> str:
         return (
@@ -509,13 +502,9 @@ class LaurentSeries(_Series):
         return format_laurent(self)
 
 
-_set_p = LaurentSeries.p.__set__
-_set_level = LaurentSeries.level.__set__
-_set_exps = LaurentSeries._exps.__set__
-_set_coeffs = LaurentSeries._coeffs.__set__
-_set_cut = LaurentSeries._cut.__set__
-_set_terms = LaurentSeries._terms.__set__
-_set_norm = LaurentSeries._norm.__set__
+_set_p, _set_level, _set_exps, _set_coeffs, _set_cut, _set_terms, _set_norm = _setters(
+    LaurentSeries
+)
 
 
 # The ring operations return these often.
@@ -656,5 +645,5 @@ class HahnSum(_Series):
 
 def _hahn(p: int, data: dict, cut) -> HahnSum:
     """Hahn sum from exponent -> unreduced coefficient and a cutoff."""
-    exps, coeffs = _canonical_terms(p, data, cut)
+    exps, coeffs = _canonical_terms(p, data, cut, ExponentVector._fast_bounds.fget)
     return HahnSum(p, tuple(zip(exps, coeffs)), cut)

@@ -430,6 +430,16 @@ def test_cached_bounds_decide_near_cancelling_pairs(monkeypatch, bits, shift):
     assert compare(v, u) == -expected
 
 
+def test_equal_vectors_never_reach_refinement(monkeypatch):
+    # Equal vectors have equal, overlapping bounds; _sign on their zero
+    # difference would never end, so equality must be settled first.
+    monkeypatch.setattr(exponents, "_sign", refuse_refinement)
+    for vec in [E1, ExponentVector.zero(), ExponentVector.from_dict({1: 3, 4: -2})]:
+        twin = ExponentVector(vec.coords)
+        assert not vec < twin and not vec > twin
+        assert vec <= twin and vec >= twin and compare(vec, twin) == 0
+
+
 @pytest.mark.parametrize("bits", [112, 200])
 def test_closer_pairs_reach_refinement(monkeypatch, bits):
     # The cached enclosures of these pairs, about 2^(bits - 208) wide,

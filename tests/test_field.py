@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import decimal
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -8,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from tatekit.errors import BackendMismatch, DomainError, PrecisionError
-from tatekit.exponents import ExponentVector, compare
+from tatekit import exponents
+from tatekit.exponents import ExponentVector, compare, nth_prime
 from tatekit.field import HahnSum, LaurentSeries, NormValue
 from tatekit.frobenius import phi_standard
 from tatekit.parsing import format_norm_value
@@ -813,3 +818,141 @@ def test_hahn_answers_pinned():
             printed = [compare(u, v), str(HahnSum.make(2, {u: 1, v: 1}))]
             digest.update(f"{printed}\n".encode())
     assert digest.hexdigest() == HAHN_PINNED_DIGEST
+
+
+# Records on __slots__: each prints and hashes as a frozen dataclass of the
+# same name and fields (built here as the reference), is equal to no plain
+# tuple, refuses writes and survives pickle and deepcopy.
+RECORDS = [
+    (
+        ExponentVector.from_dict({1: 2, 3: -1}),
+        ("coords",),
+        "ExponentVector(coords=((1, 2), (3, -1)))",
+    ),
+    (ExponentVector.zero(), ("coords",), "ExponentVector(coords=())"),
+    (E1.signature(3), ("p", "residues"), "CosetSignature(p=3, residues=((1, 1),))"),
+    (
+        NormValue.finite(Fraction(1, 2)),
+        ("kind", "exponent"),
+        "NormValue(kind='finite', exponent=Fraction(1, 2))",
+    ),
+    (
+        NormValue.at_most(E2),
+        ("kind", "exponent"),
+        "NormValue(kind='at_most', exponent=ExponentVector(coords=((2, 1),)))",
+    ),
+    (NormValue.zero(), ("kind", "exponent"), "NormValue(kind='zero', exponent=None)"),
+]
+
+
+@pytest.mark.parametrize(
+    "record,fields,text",
+    RECORDS,
+    ids=["vector", "zero-vector", "signature", "finite", "at-most", "zero-norm"],
+)
+def test_slotted_records_behave_as_frozen_dataclasses(record, fields, text):
+    values = tuple(getattr(record, name) for name in fields)
+    twin = dataclasses.make_dataclass(type(record).__name__, fields, frozen=True)(*values)
+    assert repr(record) == repr(twin) == text
+    assert hash(record) == hash(twin) == hash(values)
+    assert record != values and values != record
+    assert record != twin
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert tuple(getattr(record, name) for name in fields) == values
+    for copied in [pickle.loads(pickle.dumps(record)), copy.deepcopy(record)]:
+        assert copied == record and copied is not record
+        assert hash(copied) == hash(record) and repr(copied) == text
+        assert type(copied) is type(record)
+
+
+def test_vector_caches_are_read_only_and_not_pickled():
+    vec = ExponentVector.from_dict({1: 3, 2: -4})
+    bounds, h = vec._fast_bounds, hash(vec)
+    for name in ["_hash", "_enclosure"]:
+        with pytest.raises(AttributeError):
+            setattr(vec, name, None)
+    copied = pickle.loads(pickle.dumps(vec))
+    assert copied._hash is None and copied._enclosure is None
+    assert copied._fast_bounds == bounds and hash(copied) == h
+
+
+def decimal_value_150(vec):
+    """The real value of vec with decimal square roots at 150 digits."""
+    with decimal.localcontext(decimal.Context(prec=150)):
+        return sum(
+            (c / decimal.Decimal(nth_prime(i)).sqrt() for i, c in vec.coords),
+            decimal.Decimal(0),
+        )
+
+
+@pytest.mark.parametrize("bits,others", [(108, 2), (150, 3), (200, 3)])
+def test_hahn_support_orders_near_ties_in_every_insertion_order(monkeypatch, bits, others):
+    # a/sqrt(2) and b/sqrt(3) differ by about 2^-bits, less than the width of
+    # their cached enclosures (about 2^(bits - 208)), so the sort must reach
+    # _sign; the other terms sit at distances the cached bounds settle.
+    h, k = next((h, k) for h, k in sqrt_convergents(6) if max(h, 3 * k).bit_length() >= bits)
+    a, b = h, 3 * k
+    tie = [ExponentVector.unit(1, a), ExponentVector.unit(2, b)]
+    extra = [
+        ExponentVector.from_dict({1: a, 3: 1}),
+        ExponentVector.from_dict({2: b, 3: -1}),
+        ExponentVector.unit(4, 7),
+    ]
+    exps = tie + extra[:others]
+    values = {e: decimal_value_150(e) for e in exps}
+    expected = sorted(exps, key=values.__getitem__)
+    gaps = [values[v] - values[u] for u, v in zip(expected, expected[1:])]
+    # At 150 digits a value below 2^201 is off by under 10^-89, far below
+    # the least gap.
+    assert min(gaps) > decimal.Decimal(2) ** -(bits + 8)
+    signs = []
+    sign = exponents._sign
+
+    def counting_sign(vec, r):
+        signs.append(vec)
+        return sign(vec, r)
+
+    monkeypatch.setattr(exponents, "_sign", counting_sign)
+    cut = max(tie, key=values.__getitem__)
+    for order in itertools.permutations(exps):
+        fresh = [ExponentVector(e.coords) for e in order]
+        coeffs = range(1, len(fresh) + 1)
+        assert HahnSum.make(7, zip(fresh, coeffs)).support() == tuple(expected)
+        below = tuple(e for e in expected if values[e] < values[cut])
+        assert HahnSum.make(7, zip(fresh, coeffs), cut).support() == below
+    assert signs, "the exact path never ran"
+
+
+def test_laurent_series_refuses_writes_and_deletes():
+    x = L(3, {0: 1, 1: 2}, cutoff=4)
+    for name in ["p", "level", "_exps", "_coeffs", "_cut", "_terms", "extra"]:
+        with pytest.raises(AttributeError, match="^LaurentSeries is immutable"):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError, match="^LaurentSeries is immutable"):
+            delattr(x, name)
+    assert x == L(3, {0: 1, 1: 2}, cutoff=4)
+
+
+def test_hahn_sort_meets_presorted_input(monkeypatch):
+    # Exponents whose cached enclosures are disjoint, in a shuffled order:
+    # after the presort by enclosure the comparison sort sees a sorted list
+    # and makes n - 1 comparisons (a plain sort of this order makes 24).
+    exps = [ExponentVector.from_dict({1: k, 2: -k, 3: 1}) for k in range(-5, 5)]
+    order = [exps[i] for i in [3, 8, 0, 6, 1, 9, 4, 2, 7, 5]]
+    calls = []
+    less = ExponentVector.__lt__
+
+    def counting_less(a, b):
+        calls.append((a, b))
+        return less(a, b)
+
+    monkeypatch.setattr(ExponentVector, "__lt__", counting_less)
+    total = HahnSum.make(5, {e: 1 for e in order})
+    assert len(calls) == len(exps) - 1
+    assert total.support() == tuple(sorted(exps, key=decimal_value_150))
